@@ -1,19 +1,19 @@
 """Measure static grouping vs. work-stealing on skewed campaign grids.
 
-The pool scheduler hands whole groups to a ``ProcessPoolExecutor`` as it
-goes (dynamic at group granularity); the *static* baseline measured here
-is the classic alternative — pre-partition the groups into one
-contiguous chunk per worker — and the work-stealing scheduler
-(:mod:`repro.campaign.scheduler`) is the new persistent-worker engine.
-On a skewed grid, static chunking serializes on whichever worker drew
-the slow groups; stealing overlaps them with the many small ones.
+Multi-worker campaigns run through the work-stealing scheduler
+(:mod:`repro.campaign.scheduler`): persistent workers pull whole groups
+from a shared queue as they go idle. The *static* baseline measured
+here is the classic alternative — pre-partition the groups into one
+contiguous chunk per worker. On a skewed grid, static chunking
+serializes on whichever worker drew the slow groups; stealing overlaps
+them with the many small ones.
 
-Two scenarios, three schedulers each (``static`` / ``pool`` / ``steal``):
+Two scenarios, two rows each (``static`` / ``steal``):
 
 - ``synthetic`` — a sleep-based campaign whose group durations are
   deliberately skewed (one long group, many short ones). Sleeps
   parallelize on any host, including 1-CPU CI runners, so this row is
-  *always* asserted: results bit-identical across schedulers, and with
+  *always* asserted: results bit-identical across both rows, and with
   ``--min-speedup X`` the run fails unless stealing beats static
   chunking by at least ``X`` times.
 - ``fig7`` — the real Figure 7 performance grid (fast engine), ordered
@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.campaign import Campaign, run_campaign, run_campaign_stealing  # noqa: E402
-from repro.campaign.engine import _run_group  # noqa: E402
+from repro.campaign import Campaign, run_campaign  # noqa: E402
 from repro.perf.campaign import _PerfCampaign, plan_grid  # noqa: E402
 from repro.perf.model import PerfConfig  # noqa: E402
 from repro.perf.organizations import organization_for  # noqa: E402
@@ -72,7 +71,7 @@ FIG7_CONFIG = PerfConfig(
 
 WORKERS = 2
 
-#: Best-of-N per scheduler row (shared-host noise; sleeps are exact but
+#: Best-of-N per row (shared-host noise; sleeps are exact but
 #: process spawn time is not).
 REPEATS = 2
 
@@ -124,6 +123,11 @@ def _best_of(repeats, fn):
     return best, result
 
 
+def _run_chunk(campaign, items):
+    """Static-baseline worker task (module-level so it pickles)."""
+    return [(item.index, campaign.run_item(item)) for item in items]
+
+
 def run_static(campaign, items, workers):
     """Static contiguous chunking: one pre-assigned chunk per worker.
 
@@ -142,7 +146,7 @@ def run_static(campaign, items, workers):
     ]
     results = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_group, campaign, chunk) for chunk in chunks]
+        futures = [pool.submit(_run_chunk, campaign, chunk) for chunk in chunks]
         for future in futures:
             for index, result in future.result():
                 results[index] = result
@@ -150,39 +154,27 @@ def run_static(campaign, items, workers):
 
 
 def bench_scenario(name, campaign, items, repeats, payload_of):
-    """Time static/pool/steal on one grid; verify identical results."""
+    """Time static chunking vs. stealing on one grid; verify identical results."""
     rows = {}
 
-    def row(label, seconds, **extra):
-        rows[label] = {"seconds": round(seconds, 3), **extra}
-        print(f"  {name}/{label:7s} {seconds:7.2f}s" + (f"  {extra}" if extra else ""))
+    def row(label, seconds):
+        rows[label] = {"seconds": round(seconds, 3)}
+        print(f"  {name}/{label:7s} {seconds:7.2f}s")
 
     static_seconds, static_results = _best_of(
         repeats, lambda: run_static(campaign, items, WORKERS)
     )
     row("static", static_seconds)
 
-    pool_seconds, pool_results = _best_of(
+    steal_seconds, steal_results = _best_of(
         repeats, lambda: run_campaign(campaign, items, workers=WORKERS)
     )
-    row("pool", pool_seconds)
-
-    stats = {}
-    steal_seconds, steal_results = _best_of(
-        repeats,
-        lambda: run_campaign_stealing(
-            campaign, items, workers=WORKERS, stats=stats
-        ),
-    )
-    row("steal", steal_seconds, stats=dict(stats))
+    row("steal", steal_seconds)
 
     reference = {i: payload_of(r) for i, r in static_results.items()}
-    for label, results in (("pool", pool_results), ("steal", steal_results)):
-        got = {i: payload_of(r) for i, r in results.items()}
-        if got != reference:
-            raise AssertionError(
-                f"{name}: {label} scheduler results differ from static"
-            )
+    got = {i: payload_of(r) for i, r in steal_results.items()}
+    if got != reference:
+        raise AssertionError(f"{name}: stealing results differ from static")
 
     speedup = static_seconds / steal_seconds
     rows["speedup_steal_vs_static"] = round(speedup, 2)
@@ -213,7 +205,7 @@ def main() -> int:
     multicore = cpu_count >= 2
 
     print(
-        f"Distributed-scheduler benchmark (workers={WORKERS}, "
+        f"Work-stealing benchmark (workers={WORKERS}, "
         f"host cpu_count={cpu_count}, repeats={REPEATS}):"
     )
 
@@ -239,7 +231,7 @@ def main() -> int:
         "fig7",
         _PerfCampaign(FIG7_CONFIG),
         cells,
-        1,  # CPU-bound grid: one cold run per scheduler is the honest number
+        1,  # CPU-bound grid: one cold run per row is the honest number
         payload_of=lambda r: r,
     )
     fig7["asserted"] = bool(args.min_speedup is not None and multicore)

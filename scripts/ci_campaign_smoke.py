@@ -13,7 +13,9 @@ grew out of:
    the shared store.
 4. **Attack playbooks**: the library lints (every scenario compiles),
    and a 2-worker playbook campaign matches sequential, resumes from
-   the shared store, and survives a mid-campaign kill.
+   the shared store, and survives a mid-campaign kill: the killed
+   2-worker child leaves no worker process behind, and the resume is
+   bit-identical.
 5. **Kill-and-resume**: a child process running the sweep is killed
    mid-campaign; the parent resumes from the partial store, recomputes
    only what is missing, and ends with identical results.
@@ -33,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 from repro.campaign import summarize_index
 from repro.faultsim.evaluators import SafeGuardSECDEDEvaluator, SECDEDEvaluator
@@ -151,9 +154,10 @@ def playbook_cells():
 
 
 #: Child payload for the playbook kill-and-resume: runs the playbook
-#: grid into the store at argv[1] and hard-exits after the third point.
+#: grid on 2 workers into the store at argv[1], and after the third
+#: point writes its worker pids to argv[2] and hard-exits.
 _PLAYBOOK_CHILD = """
-import os, sys
+import multiprocessing, os, sys
 from repro.rowhammer.playbook import PlaybookConfig, plan_playbook, run_playbook
 
 config = PlaybookConfig(budget=6_000)
@@ -167,11 +171,34 @@ cells = plan_playbook(
 
 def die_after_three(snap):
     if snap.items_done >= 3:
+        with open(sys.argv[2], "w") as fh:
+            fh.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
         os._exit(1)
 
-run_playbook(cells, config, cache_dir=sys.argv[1], progress=die_after_three)
+run_playbook(cells, config, workers=2, cache_dir=sys.argv[1],
+             progress=die_after_three)
 raise SystemExit("child was supposed to die mid-campaign")
 """
+
+
+def _pid_alive(pid: int) -> bool:
+    """True while ``pid`` runs (Linux /proc); an unreaped zombie counts
+    as exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def assert_workers_exit(pids, timeout_s: float = 20.0) -> None:
+    """Fail unless every pid in ``pids`` is gone within ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    alive = list(pids)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = [pid for pid in alive if _pid_alive(pid)]
+    assert not alive, f"workers {alive} outlived their killed campaign"
 
 
 def check_playbook(store: str) -> None:
@@ -191,18 +218,23 @@ def check_playbook(store: str) -> None:
         f"playbook OK: library lints, 2-worker grid identical to "
         f"sequential, all {len(cells)} points reloaded from the shared store"
     )
-    # Kill-and-resume through a separate store.
+    # Kill-and-resume of a 2-worker run through a separate store.
     kill_store = os.path.join(store, "killed-playbook")
+    pid_file = os.path.join(store, "killed-playbook-workers.txt")
     env = dict(
         os.environ,
         PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
     )
     child = subprocess.run(
-        [sys.executable, "-c", _PLAYBOOK_CHILD, kill_store],
+        [sys.executable, "-c", _PLAYBOOK_CHILD, kill_store, pid_file],
         env=env,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert child.returncode == 1, f"child exited {child.returncode}, expected the kill"
+    with open(pid_file) as fh:
+        worker_pids = [int(pid) for pid in fh.read().split()]
+    assert len(worker_pids) == 2, f"expected 2 workers, saw {worker_pids}"
+    assert_workers_exit(worker_pids)
     partial = summarize_index(kill_store).get("playbook", {"completed": 0})
     assert 0 < partial["completed"] < len(cells)
     stats = []
@@ -213,9 +245,10 @@ def check_playbook(store: str) -> None:
     assert stats[-1].items_from_store == partial["completed"]
     assert as_json(resumed) == as_json(sequential)
     print(
-        f"playbook kill-and-resume OK: child died after "
-        f"{partial['completed']} points, 2-worker resume recomputed only "
-        f"the remaining {len(cells) - partial['completed']}"
+        f"playbook kill-and-resume OK: 2-worker child died after "
+        f"{partial['completed']} points and left no worker behind; "
+        f"2-worker resume recomputed only the remaining "
+        f"{len(cells) - partial['completed']}"
     )
 
 

@@ -56,8 +56,9 @@ routes their cells through that shared store so concurrent runs divide
 a grid instead of recomputing it; ``python -m repro submit HOST:PORT
 KIND`` enqueues a server-side campaign job (``hammer-sweep`` / ``perf``
 / ``faultsim``), ``--watch`` streaming its progress events.
-``REPRO_SCHEDULER=steal`` switches campaign fan-out to the work-stealing
-scheduler (persistent workers; same bit-identical results).
+Every ``--workers N`` campaign fans out to persistent work-stealing
+workers (``repro.campaign.scheduler``); any worker count gives
+bit-identical results.
 """
 
 import sys

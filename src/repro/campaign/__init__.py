@@ -7,11 +7,10 @@ The repo runs three campaign families — Monte-Carlo reliability shards
 package:
 
 - :mod:`repro.campaign.engine` — the :class:`Campaign` work-item
-  contract and the retrying, group-scheduling, store-backed executor
-  (:func:`run_campaign`);
-- :mod:`repro.campaign.scheduler` — the work-stealing alternative
-  fan-out (persistent workers, heartbeat supervision), selected by
-  ``run_campaign(..., scheduler="steal")`` / ``REPRO_SCHEDULER``;
+  contract and the store-backed executor (:func:`run_campaign`);
+- :mod:`repro.campaign.scheduler` — its multi-worker fan-out: persistent
+  workers stealing whole groups from a shared queue, with heartbeat
+  supervision and a bounded per-group retry budget;
 - :mod:`repro.campaign.store` — the atomic, fingerprint-verified JSON
   :class:`ResultStore` with its append-only completion index;
 - :mod:`repro.campaign.server` / :mod:`repro.campaign.client` — the
@@ -27,14 +26,7 @@ adapter diagram, the add-a-campaign recipe, and the distributed
 """
 
 from repro.campaign.client import CampaignClient, RemoteResultStore
-from repro.campaign.engine import (
-    SCHEDULER_ENV,
-    SCHEDULERS,
-    Campaign,
-    CampaignError,
-    resolve_scheduler,
-    run_campaign,
-)
+from repro.campaign.engine import Campaign, run_campaign
 from repro.campaign.progress import (
     GENERIC_WORKERS_ENV,
     CampaignProgress,
@@ -42,7 +34,7 @@ from repro.campaign.progress import (
     ProgressCallback,
     resolve_workers,
 )
-from repro.campaign.scheduler import run_campaign_stealing
+from repro.campaign.scheduler import CampaignError
 from repro.campaign.server import BackgroundServer, CampaignServer, ServerActivity
 from repro.campaign.store import (
     INDEX_NAME,
@@ -58,10 +50,6 @@ __all__ = [
     "Campaign",
     "CampaignError",
     "run_campaign",
-    "run_campaign_stealing",
-    "resolve_scheduler",
-    "SCHEDULER_ENV",
-    "SCHEDULERS",
     "RemoteResultStore",
     "CampaignClient",
     "CampaignServer",

@@ -11,28 +11,22 @@ those campaigns share, exactly once:
   RemoteResultStore`) may answer ``"inflight"`` — *another client is
   computing this cell* — and those items are awaited after the local
   batch instead of recomputed;
-- **fan-out** — pending items go to worker processes as *groups*
-  (``Campaign.group_key``), so engines whose items share expensive
-  per-process state (the perf engine's memoized content pass, the
-  sweep's per-attack simulation) keep that sharing under any worker
-  count. Two schedulers implement the fan-out: ``"pool"`` (a
-  ``ProcessPoolExecutor`` round per retry attempt, the historical
-  default) and ``"steal"`` (persistent workers pulling groups from a
-  shared queue with heartbeat/timeout supervision; see
-  :mod:`repro.campaign.scheduler`);
-- **retry** — a worker crash (``BrokenProcessPool`` under the pool
-  scheduler, a dead or hung worker process under the stealing one)
-  re-runs the unfinished groups with a bounded per-group attempt
-  budget; a group that keeps killing workers eventually raises
-  :class:`CampaignError`. Pool-scheduler retry rounds back off
-  exponentially with bounded, seedable jitter so simultaneous retries
-  against a shared store don't stampede it. Deterministic exceptions
-  raised *by* an item propagate immediately (retrying them cannot
-  help);
+- **fan-out** — with ``workers > 1``, pending items go to persistent
+  worker processes as *groups* (``Campaign.group_key``) that idle
+  workers steal from a shared queue (:mod:`repro.campaign.scheduler`),
+  so engines whose items share expensive per-process state (the perf
+  engine's memoized content pass, the sweep's per-attack simulation)
+  keep that sharing under any worker count;
+- **retry** — a worker that dies or hangs is replaced and its group
+  re-runs with a bounded per-group attempt budget; a group that keeps
+  killing workers eventually raises
+  :class:`repro.campaign.scheduler.CampaignError`.
+  Deterministic exceptions raised *by* an item propagate immediately
+  (retrying them cannot help);
 - **determinism** — results are keyed by item index, every item is a
   pure function of its fingerprint, and loaded cells are verified in
-  full, so the returned mapping is bit-identical for any worker count,
-  any scheduler, and any completion/steal order;
+  full, so the returned mapping is bit-identical for any worker count
+  and any completion/steal order;
 - **progress** — a :class:`CampaignProgress` snapshot after every
   completed or store-loaded item.
 
@@ -45,31 +39,12 @@ the items themselves.
 
 from __future__ import annotations
 
-import os
-import random
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.campaign.progress import CampaignProgress
+from repro.campaign.scheduler import run_stealing
 from repro.campaign.store import ResultStore, fingerprint_digest
-
-#: Environment fallback for the fan-out scheduler when the call does not
-#: pin one: ``pool`` (fresh executor per retry round) or ``steal``
-#: (persistent work-stealing workers; :mod:`repro.campaign.scheduler`).
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-#: The fan-out schedulers :func:`run_campaign` can dispatch to.
-SCHEDULERS = ("pool", "steal")
-
-
-class CampaignError(RuntimeError):
-    """A work group exhausted its crash-retry budget."""
 
 
 class Campaign:
@@ -77,9 +52,9 @@ class Campaign:
 
     Required: :meth:`fingerprint` and :meth:`run_item`. Everything else
     has a sensible default. Instances must be picklable (they travel to
-    pool workers) and ``run_item`` must be deterministic in the item's
-    fingerprint — that is what makes the store sound and the output
-    worker-count-invariant.
+    worker processes) and ``run_item`` must be deterministic in the
+    item's fingerprint — that is what makes the store sound and the
+    output worker-count-invariant.
     """
 
     #: Campaign family name, recorded in the store's append-only index.
@@ -139,27 +114,10 @@ class Campaign:
         return 0
 
 
-def _run_group(campaign: Campaign, items: Sequence[Any]) -> List[Any]:
-    """Worker entry point (module-level so it pickles): one group."""
-    return [(item.index, campaign.run_item(item)) for item in items]
-
-
-def resolve_scheduler(scheduler: Optional[str] = None) -> str:
-    """Explicit argument > ``REPRO_SCHEDULER`` > ``"pool"``."""
-    if scheduler is None:
-        scheduler = os.environ.get(SCHEDULER_ENV, "").strip() or "pool"
-    if scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; known: {', '.join(SCHEDULERS)}"
-        )
-    return scheduler
-
-
 class _CampaignRun:
-    """Shared bookkeeping for one campaign execution, whatever the
-    scheduler: the store scan, per-item completion accounting (store
-    write + progress snapshot), and the await loop for cells another
-    client is computing."""
+    """Bookkeeping for one campaign execution: the store scan, per-item
+    completion accounting (store write + progress snapshot), and the
+    await loop for cells another client is computing."""
 
     def __init__(
         self,
@@ -303,31 +261,21 @@ def run_campaign(
     store=None,
     progress: Optional[Callable[[CampaignProgress], None]] = None,
     max_attempts: int = 3,
-    backoff_s: float = 0.5,
-    max_backoff_s: float = 4.0,
-    backoff_jitter: float = 0.25,
-    jitter_seed: Optional[int] = None,
-    scheduler: Optional[str] = None,
 ) -> Dict[int, Any]:
     """Run every item; returns results keyed by ``item.index``.
 
-    ``workers == 1`` runs items in-process in index order (no pool),
-    which still exercises the store and progress reporting. The output
-    mapping is independent of worker count, scheduler, and completion
-    order.
+    ``workers == 1`` runs items in-process in index order, which still
+    exercises the store and progress reporting; more workers fan the
+    groups out through :func:`repro.campaign.scheduler.run_stealing`,
+    giving each group up to ``max_attempts`` tries against dying or
+    hung workers. The output mapping is independent of worker count
+    and completion order.
 
     ``store`` accepts a ready store object (anything with the
     :class:`ResultStore` ``load``/``store`` contract — e.g. a
     :class:`repro.campaign.client.RemoteResultStore` sharing cells over
     the network); ``store_dir`` builds a local directory store.
-    ``scheduler`` picks the fan-out strategy (``"pool"``/``"steal"``;
-    default ``REPRO_SCHEDULER`` or ``"pool"``). Pool-scheduler crash
-    retries back off exponentially, stretched by a bounded random
-    jitter in ``[1, 1 + backoff_jitter]`` — seedable via
-    ``jitter_seed`` so tests are deterministic — so simultaneous group
-    retries don't stampede a shared store.
     """
-    scheduler = resolve_scheduler(scheduler)
     run = _CampaignRun(
         campaign, items, store_dir=store_dir, store=store, progress=progress
     )
@@ -338,27 +286,9 @@ def run_campaign(
         if workers == 1:
             for item in batch:
                 run.finish(item, campaign.run_item(item))
-        elif scheduler == "steal":
-            from repro.campaign.scheduler import run_stealing
-
-            run_stealing(
-                campaign,
-                batch,
-                workers,
-                run.finish,
-                max_attempts=max_attempts,
-            )
         else:
-            _fan_out(
-                campaign,
-                batch,
-                workers,
-                run.finish,
-                max_attempts=max_attempts,
-                backoff_s=backoff_s,
-                max_backoff_s=max_backoff_s,
-                backoff_jitter=backoff_jitter,
-                jitter_seed=jitter_seed,
+            run_stealing(
+                campaign, batch, workers, run.finish, max_attempts=max_attempts
             )
 
     pending, inflight = run.scan()
@@ -366,72 +296,3 @@ def run_campaign(
     if inflight:
         execute(run.await_inflight(inflight))
     return run.results
-
-
-def _fan_out(
-    campaign: Campaign,
-    pending: Sequence[Any],
-    workers: int,
-    finish: Callable[[Any, Any], None],
-    *,
-    max_attempts: int,
-    backoff_s: float,
-    max_backoff_s: float,
-    backoff_jitter: float = 0.25,
-    jitter_seed: Optional[int] = None,
-) -> None:
-    """Pool fan-out with group scheduling and crash retry."""
-    groups: Dict[Hashable, List[Any]] = {}
-    for item in pending:
-        groups.setdefault(campaign.group_key(item), []).append(item)
-
-    rng = random.Random(jitter_seed)
-    remaining = dict(groups)
-    attempts = {key: 0 for key in groups}
-    while remaining:
-        for key in remaining:
-            attempts[key] += 1
-        crashed = False
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(remaining))
-        ) as pool:
-            futures = {
-                pool.submit(_run_group, campaign, group): key
-                for key, group in remaining.items()
-            }
-            outstanding = set(futures)
-            while outstanding and not crashed:
-                completed, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                for future in completed:
-                    key = futures[future]
-                    try:
-                        pairs = future.result()
-                    except BrokenExecutor:
-                        # The pool is dead; whatever is still in
-                        # `remaining` (this group included) retries in a
-                        # fresh pool. Groups already finished this round
-                        # were removed, so nothing double-finishes.
-                        crashed = True
-                        break
-                    by_index = {item.index: item for item in remaining[key]}
-                    for index, result in pairs:
-                        finish(by_index[index], result)
-                    del remaining[key]
-        if not remaining:
-            return
-        if not crashed:  # pragma: no cover - defensive
-            raise CampaignError("pool exited with unfinished groups")
-        exhausted = [key for key in remaining if attempts[key] >= max_attempts]
-        if exhausted:
-            raise CampaignError(
-                f"campaign {campaign.name!r}: groups {exhausted!r} crashed "
-                f"the worker pool {max_attempts} time(s); giving up"
-            )
-        retry = max(attempts[key] for key in remaining)
-        base = min(backoff_s * (2 ** (retry - 1)), max_backoff_s)
-        # Stretch (never shorten) by bounded jitter so simultaneous
-        # retrying campaigns desynchronize instead of stampeding a
-        # shared store in lock step.
-        time.sleep(base * (1.0 + max(0.0, backoff_jitter) * rng.random()))

@@ -1,46 +1,46 @@
-"""Work-stealing campaign scheduler with hung-worker supervision.
+"""The campaign fan-out: work stealing with worker supervision.
 
-The pool scheduler in :mod:`repro.campaign.engine` partitions groups
-statically: each retry round submits every unfinished group to a fresh
-``ProcessPoolExecutor`` and waits for the round to drain. That is simple
-and correct, but a skewed grid (lbm/roms perf cells run 3–5x longer than
-gcc cells) ends the round serialized on whichever worker drew the slow
-groups while the others sit idle.
+:func:`repro.campaign.engine.run_campaign` hands every multi-worker run
+to :func:`run_stealing`. It keeps ``workers`` *persistent* processes
+alive for the whole campaign, and each pulls the next whole group from a
+shared queue the moment it goes idle: work stealing at group
+granularity. Groups stay atomic (the perf engine's content memo and the
+sweep's per-attack state still share within a group); only their
+*placement* is dynamic, so on a skewed grid (lbm/roms perf cells run
+3–5x longer than gcc cells) the slow groups overlap with many small ones
+instead of defining the critical path.
 
-This module keeps ``workers`` *persistent* processes alive for the whole
-campaign and lets each pull the next whole group from a shared queue the
-moment it goes idle — work stealing at group granularity. Groups stay
-atomic (the perf engine's content memo and the sweep's per-attack state
-still share within a group); only their *placement* becomes dynamic, so
-the slow groups overlap with many small ones instead of defining the
-critical path.
-
-Supervision rides on the result stream itself: every ``claim``/``item``/
-``done`` message a worker sends doubles as a heartbeat. A worker that
-dies (queue draw crashed the process) or goes silent for
-``heartbeat_timeout_s`` while holding a group is killed and replaced,
-and its group is requeued with a bounded attempt budget — the stealing
-analogue of the pool scheduler's ``BrokenProcessPool`` retry. Requeues
-are safe to overlap with stale execution: results are deduplicated by
-item index (first completion wins, and items are deterministic, so
-"first" is also "only" in content).
+Supervision rides on the result stream itself. Each worker sends its
+``claim``/``item``/``done`` messages synchronously on a pipe of its own,
+so a worker that dies mid-item can neither lose nor wedge another
+worker's messages, and every message doubles as a heartbeat. A worker
+that dies or goes silent for ``heartbeat_timeout_s`` while holding a
+group is killed and replaced, and its group is requeued with a bounded
+attempt budget; a group that exhausts it raises :class:`CampaignError`.
+Requeues are safe to overlap with stale execution: results are
+deduplicated by item index (first completion wins, and items are
+deterministic, so "first" is also "only" in content). Supervision also
+runs the other way: a worker whose parent is gone (killed mid-campaign)
+exits instead of lingering as an orphan.
 
 Determinism: results are keyed by item index and every item is a pure
 function of its fingerprint, so the output mapping is bit-identical to
-``run_campaign`` for any worker count and any steal order.
+the in-process ``workers == 1`` run for any worker count and any steal
+order.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import pickle
 import queue
 import time
 import traceback
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence
 
-from repro.campaign.engine import Campaign, CampaignError, _CampaignRun
-from repro.campaign.progress import CampaignProgress
+if TYPE_CHECKING:
+    from repro.campaign.engine import Campaign
 
 #: Seconds of message silence from a group-holding worker before it is
 #: presumed hung, killed, and its group requeued. Item boundaries are
@@ -52,44 +52,63 @@ DEFAULT_POLL_S = 0.05
 
 #: Seconds the fleet must be simultaneously idle (with work nominally
 #: outstanding) before unfinished groups are re-enqueued. Covers the
-#: window where a worker dies between drawing a task and its claim
-#: message flushing (``os._exit`` kills the queue feeder thread mid
-#: buffer) — the task would otherwise be lost silently. An idle fleet
+#: window where a worker dies between drawing a task and sending its
+#: claim — the task would otherwise be lost silently. An idle fleet
 #: with outstanding groups can only mean drawn-and-lost tasks (idle
 #: workers drain a live queue in milliseconds), so this recovery charges
 #: the group's attempt budget exactly like an attributed crash; requeues
 #: stay idempotent through the index dedupe.
 _IDLE_REQUEUE_S = 2.0
 
+#: Seconds an idle worker blocks on the task queue before checking that
+#: its parent is still alive.
+_PARENT_POLL_S = 0.5
 
-def _worker_main(worker_id: int, campaign: Campaign, task_q, result_q) -> None:
+
+class CampaignError(RuntimeError):
+    """A work group exhausted its crash-retry budget."""
+
+
+def _worker_main(campaign: Campaign, task_q, conn) -> None:
     """Persistent worker: pull groups until the ``None`` sentinel.
 
-    Messages are ``(kind, worker_id, group_key, payload)``:
-    ``claim``/``done`` bracket a group, ``item`` carries one
-    ``(index, result)``, ``error`` carries a deterministic exception
-    (pre-checked picklable, else its traceback text). Every message is
-    also a liveness heartbeat.
+    Messages on the worker's own result pipe ``conn`` are
+    ``(kind, group_key, payload)``: ``claim``/``done`` bracket a group,
+    ``item`` carries one ``(index, result)``, ``error`` carries a
+    deterministic exception (pre-checked picklable, else its traceback
+    text). Every message is also a liveness heartbeat. Sends are
+    synchronous and nobody else writes to the pipe, so a worker that
+    dies mid-item can neither lose nor wedge another worker's messages.
+    The worker exits on its own once its parent is gone, checking
+    between items and while idle.
     """
-    while True:
-        task = task_q.get()
+    parent = multiprocessing.parent_process()
+    while parent.is_alive():
+        try:
+            task = task_q.get(timeout=_PARENT_POLL_S)
+        except queue.Empty:
+            continue
         if task is None:
             return
         key, items = task
-        result_q.put(("claim", worker_id, key, None))
+        conn.send(("claim", key, None))
         try:
             for item in items:
+                if not parent.is_alive():
+                    return
                 result = campaign.run_item(item)
-                result_q.put(("item", worker_id, key, (item.index, result)))
-            result_q.put(("done", worker_id, key, None))
+                conn.send(("item", key, (item.index, result)))
+            conn.send(("done", key, None))
         except BaseException as exc:  # deterministic failure: report, stay alive
+            if not parent.is_alive():  # e.g. a send that broke with the pipe
+                return
             text = traceback.format_exc()
             try:
                 pickle.dumps(exc)
                 payload = (exc, text)
             except Exception:
                 payload = (None, f"{exc!r}\n{text}")
-            result_q.put(("error", worker_id, key, payload))
+            conn.send(("error", key, payload))
 
 
 def _kill(proc) -> None:
@@ -131,7 +150,6 @@ def run_stealing(
 
     ctx = multiprocessing.get_context()
     task_q = ctx.Queue()
-    result_q = ctx.Queue()
     for key, items in groups.items():
         task_q.put((key, items))
 
@@ -139,6 +157,7 @@ def run_stealing(
     finished_indices: set = set()
     failures: Dict[Hashable, int] = {}
     procs: Dict[int, Any] = {}
+    pipes: Dict[int, Any] = {}
     held: Dict[int, Optional[Hashable]] = {}
     last_seen: Dict[int, float] = {}
     next_id = 0
@@ -147,22 +166,23 @@ def run_stealing(
         nonlocal next_id
         wid = next_id
         next_id += 1
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_worker_main,
-            args=(wid, campaign, task_q, result_q),
-            daemon=True,
+            target=_worker_main, args=(campaign, task_q, writer), daemon=True
         )
         proc.start()
+        # The worker now holds the only write end: its death reads as EOF.
+        writer.close()
         procs[wid] = proc
+        pipes[wid] = reader
         held[wid] = None
         last_seen[wid] = time.monotonic()
 
     def fail_worker(wid: int, why: str) -> None:
-        _kill(procs[wid])
-        key = held.get(wid)
-        procs.pop(wid, None)
-        held.pop(wid, None)
-        last_seen.pop(wid, None)
+        _kill(procs.pop(wid))
+        pipes.pop(wid).close()
+        key = held.pop(wid)
+        last_seen.pop(wid)
         stats["worker_deaths"] += 1
         if key is not None and key in unfinished:
             failures[key] = failures.get(key, 0) + 1
@@ -182,16 +202,20 @@ def run_stealing(
     idle_since: Optional[float] = None
     try:
         while unfinished:
-            try:
-                kind, wid, key, payload = result_q.get(timeout=poll_s)
-            except queue.Empty:
-                kind = None
-            if kind is not None:
-                if wid in last_seen:
-                    last_seen[wid] = time.monotonic()
+            by_pipe = {pipe: wid for wid, pipe in pipes.items()}
+            ready = multiprocessing.connection.wait(list(by_pipe), timeout=poll_s)
+            for pipe in ready:
+                wid = by_pipe[pipe]
+                if wid not in pipes:  # failed earlier in this batch
+                    continue
+                try:
+                    kind, key, payload = pipe.recv()
+                except (EOFError, OSError):
+                    fail_worker(wid, "crashed its worker")
+                    continue
+                last_seen[wid] = time.monotonic()
                 if kind == "claim":
-                    if wid in held:
-                        held[wid] = key
+                    held[wid] = key
                     stats["claims"] += 1
                 elif kind == "item":
                     index, result = payload
@@ -201,8 +225,7 @@ def run_stealing(
                         finished_indices.add(index)
                         finish(by_index[index], result)
                 elif kind == "done":
-                    if wid in held:
-                        held[wid] = None
+                    held[wid] = None
                     unfinished.pop(key, None)
                 elif kind == "error":
                     exc, text = payload
@@ -211,22 +234,25 @@ def run_stealing(
                     raise CampaignError(
                         f"campaign {campaign.name!r}: group {key!r} raised:\n{text}"
                     )
+            if ready:
                 idle_since = None
                 continue
 
             now = time.monotonic()
             for wid in list(procs):
+                if pipes[wid].poll():
+                    continue  # read its last messages (or EOF) first
                 if not procs[wid].is_alive():
                     fail_worker(wid, "crashed its worker")
                 elif (
-                    held.get(wid) is not None
+                    held[wid] is not None
                     and now - last_seen[wid] > heartbeat_timeout_s
                 ):
                     fail_worker(wid, "hung past the heartbeat timeout")
 
             # Lost-task recovery: everyone idle yet groups outstanding
             # means a worker died between drawing a task and claiming it.
-            if unfinished and all(held.get(wid) is None for wid in procs):
+            if unfinished and all(held[wid] is None for wid in procs):
                 if idle_since is None:
                     idle_since = now
                 elif now - idle_since > max(_IDLE_REQUEUE_S, 4 * poll_s):
@@ -254,53 +280,6 @@ def run_stealing(
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         for proc in procs.values():
             _kill(proc)
+        for pipe in pipes.values():
+            pipe.close()
         task_q.cancel_join_thread()
-        result_q.cancel_join_thread()
-
-
-def run_campaign_stealing(
-    campaign: Campaign,
-    items: Sequence[Any],
-    *,
-    workers: int = 1,
-    store_dir: Optional[str] = None,
-    store=None,
-    progress: Optional[Callable[[CampaignProgress], None]] = None,
-    max_attempts: int = 3,
-    heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
-    poll_s: float = DEFAULT_POLL_S,
-    stats: Optional[Dict[str, int]] = None,
-) -> Dict[int, Any]:
-    """Drop-in, bit-identical alternative to ``run_campaign``.
-
-    Same store scan, resume, inflight-await, and progress semantics —
-    only the fan-out strategy differs. ``workers == 1`` runs in-process,
-    exactly like ``run_campaign``.
-    """
-    run = _CampaignRun(
-        campaign, items, store_dir=store_dir, store=store, progress=progress
-    )
-
-    def execute(batch: List[Any]) -> None:
-        if not batch:
-            return
-        if workers == 1:
-            for item in batch:
-                run.finish(item, campaign.run_item(item))
-        else:
-            run_stealing(
-                campaign,
-                batch,
-                workers,
-                run.finish,
-                max_attempts=max_attempts,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-                poll_s=poll_s,
-                stats=stats,
-            )
-
-    pending, inflight = run.scan()
-    execute(pending)
-    if inflight:
-        execute(run.await_inflight(inflight))
-    return run.results

@@ -12,8 +12,9 @@ campaign.
 Two coordination mechanisms ride on top of the raw store contract so
 concurrent clients *divide* a grid instead of racing it:
 
-- **claims** — a client about to compute a missing cell claims it
-  first; a second client asking for the same cell is told it is
+- **claims** — the ``load`` that finds a cell missing also claims it
+  for the caller (in one step, so no other client can store the cell
+  in between); a second client asking for the same cell is told it is
   ``inflight`` and can wait for the result instead of recomputing.
   Claims are tied to the claimant's connection: a client that dies
   releases its claims the moment its socket closes (waiters wake and
@@ -365,8 +366,6 @@ class CampaignServer:
             }
         if op == "load":
             return await self._op_load(conn_id, request)
-        if op == "claim":
-            return self._op_claim(conn_id, request)
         if op == "release":
             cell = str(request["cell"])
             if self._claim_holder(cell) == conn_id:
@@ -425,17 +424,24 @@ class CampaignServer:
         elif reason == "stale":
             counters["rejected_stale"] = 1
         self.activity.advance(**counters)
+        # A miss is claimed in the same step that found it: no other
+        # client can store and release the cell in between, which would
+        # hand this client a claim on a cell that already exists.
+        if reason is not None and request.get("claim") and not self._claim(
+            conn_id, cell
+        ):
+            reason = "inflight"
         return {"ok": True, "result": result, "reason": reason}
 
-    def _op_claim(self, conn_id: int, request: dict):
-        cell = str(request["cell"])
+    def _claim(self, conn_id: int, cell: str) -> bool:
+        """Grant ``cell`` to ``conn_id`` unless another client holds it."""
         holder = self._claim_holder(cell)
         if holder is not None and holder != conn_id:
             self.activity.advance(claims_denied=1)
-            return {"ok": True, "granted": False}
+            return False
         self._claims[cell] = (conn_id, time.monotonic() + self.lease_s)
         self.activity.advance(claims_granted=1)
-        return {"ok": True, "granted": True}
+        return True
 
     def _op_store(self, request: dict):
         self.store.store(

@@ -61,11 +61,6 @@ def _mode_from_env() -> str:
 _mode = _mode_from_env()
 
 
-def kernel_mode() -> str:
-    """The active kernel mode: ``"fast"`` (default) or ``"reference"``."""
-    return _mode
-
-
 def use_fast() -> bool:
     """True when the table-driven kernels are active."""
     return _mode == "fast"

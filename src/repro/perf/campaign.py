@@ -196,10 +196,6 @@ def cell_fingerprint(cell: CampaignCell, config: PerfConfig) -> dict:
     }
 
 
-def _fingerprint_digest(fingerprint: dict) -> str:
-    return fingerprint_digest(fingerprint)
-
-
 def _cell_name(fingerprint: dict) -> str:
     return f"cell-{fingerprint_digest(fingerprint)}.json"
 

@@ -647,7 +647,7 @@ class _PlaybookCampaign(Campaign):
     organization-independent, so grouping by ``(scenario, mitigation,
     seed)`` lets the per-process memo serve every scheme of one variant
     from a single simulation. ``extra_specs`` carries file-loaded
-    playbooks by value so pool/steal workers (which only receive the
+    playbooks by value so worker processes (which only receive the
     pickled campaign) can resolve them.
     """
 

@@ -14,18 +14,3 @@ GB = 1024 * MB
 #: DRAM refresh period assumed throughout the paper (Section II-B).
 REFRESH_PERIOD_MS = 64.0
 REFRESH_PERIOD_S = REFRESH_PERIOD_MS / 1e3
-
-
-def fit_to_lambda_per_hour(fit: float) -> float:
-    """FIT rate -> Poisson arrival rate in events per device-hour."""
-    return fit / FIT_HOURS
-
-
-def fit_to_lambda_per_second(fit: float) -> float:
-    """FIT rate -> Poisson arrival rate in events per device-second."""
-    return fit / FIT_HOURS / SECONDS_PER_HOUR
-
-
-def years_to_hours(years: float) -> float:
-    """Calendar years -> hours."""
-    return years * HOURS_PER_YEAR

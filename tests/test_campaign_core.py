@@ -490,9 +490,7 @@ class TestRunCampaign:
 
     def test_worker_crash_retries_and_completes(self, tmp_path):
         campaign = CrashOnceCampaign(str(tmp_path))
-        results = run_campaign(
-            campaign, _items(3), workers=2, backoff_s=0.01, max_backoff_s=0.02
-        )
+        results = run_campaign(campaign, _items(3), workers=2)
         assert {i: r["square"] for i, r in results.items()} == {0: 1, 1: 4, 2: 9}
 
     def test_repeated_crashes_raise_campaign_error(self):
@@ -502,8 +500,6 @@ class TestRunCampaign:
                 _items(2),
                 workers=2,
                 max_attempts=2,
-                backoff_s=0.01,
-                max_backoff_s=0.02,
             )
 
     def test_index_records_failure_totals(self, tmp_path):
@@ -524,57 +520,6 @@ class TestRunCampaign:
         # A resume loads from the store and appends nothing new.
         run_campaign(SquareCampaign(), _items(3), store_dir=str(tmp_path))
         assert summarize_index(str(tmp_path))["square"]["entries"] == 3
-
-
-# -- crash-retry backoff jitter --------------------------------------------------
-
-
-class TestBackoffJitter:
-    """Retry backoff is stretched by bounded, *seeded* random jitter."""
-
-    def _sleeps_for(self, tmp_path, label, monkeypatch_sleeps, jitter_seed):
-        flag_dir = tmp_path / label
-        flag_dir.mkdir()
-        start = len(monkeypatch_sleeps)
-        # One group of two crash-once items: the group crashes in round
-        # 1 (item 0 flags) and round 2 (item 1 flags), completing in
-        # round 3 — exactly two deterministic backoff sleeps.
-        results = run_campaign(
-            CrashOnceCampaign(str(flag_dir)),
-            _items(2, groups=[0, 0]),
-            workers=2,
-            backoff_s=0.5,
-            max_backoff_s=4.0,
-            backoff_jitter=0.25,
-            jitter_seed=jitter_seed,
-        )
-        assert {i: r["square"] for i, r in results.items()} == {0: 1, 1: 4}
-        return monkeypatch_sleeps[start:]
-
-    def test_seeded_jitter_is_deterministic_and_bounded(
-        self, tmp_path, monkeypatch
-    ):
-        sleeps = []
-        monkeypatch.setattr(
-            "repro.campaign.engine.time.sleep", lambda s: sleeps.append(s)
-        )
-        first = self._sleeps_for(tmp_path, "a", sleeps, jitter_seed=7)
-        second = self._sleeps_for(tmp_path, "b", sleeps, jitter_seed=7)
-        assert first == second
-        assert len(first) == 2
-        # Jitter stretches, never shortens, and is bounded by the knob:
-        # base * [1, 1.25] with base 0.5 then 1.0.
-        assert 0.5 <= first[0] <= 0.5 * 1.25
-        assert 1.0 <= first[1] <= 1.0 * 1.25
-
-    def test_different_seeds_desynchronize(self, tmp_path, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(
-            "repro.campaign.engine.time.sleep", lambda s: sleeps.append(s)
-        )
-        first = self._sleeps_for(tmp_path, "a", sleeps, jitter_seed=1)
-        second = self._sleeps_for(tmp_path, "b", sleeps, jitter_seed=2)
-        assert first != second
 
 
 # -- ProgressBase under concurrent mutation --------------------------------------
