@@ -12,7 +12,7 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_hotpath.py [--quick]
 
-Kernel mode is forced per measurement via ``kernels.forced_mode`` — each
+Kernel mode is forced per measurement via ``KERNELS.forced`` — each
 codec/MAC instance is constructed inside the context so it captures the
 intended mode.
 """
@@ -29,7 +29,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.ecc import kernels  # noqa: E402
+from repro.switches import KERNELS  # noqa: E402
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 OUT_PATH = os.path.join(REPO_ROOT, "BENCH_hotpath.json")
@@ -177,7 +177,7 @@ def run_micro(number: int, repeat: int) -> dict:
         n = max(1, number // _BATCH_NUMBER_SCALE.get(name, 1))
         per_mode = {}
         for mode in ("fast", "reference"):
-            with kernels.forced_mode(mode):
+            with KERNELS.forced(mode):
                 fn = builder(random.Random(SEED))
                 per_mode[mode] = _ops_per_second(fn, n, repeat)
         speedup = per_mode["fast"] / per_mode["reference"]
@@ -233,7 +233,7 @@ def run_end_to_end(rows: int, sweeps: int) -> dict:
     for scheme in ("safeguard-secded", "safeguard-chipkill"):
         per_mode = {}
         for mode in ("fast", "reference"):
-            with kernels.forced_mode(mode):
+            with KERNELS.forced(mode):
                 per_mode[mode] = _run_campaign(scheme, rows, sweeps)
         speedup = per_mode["reference"] / per_mode["fast"]
         results[scheme] = {

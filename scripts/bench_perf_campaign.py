@@ -47,11 +47,9 @@ import warnings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.campaign import resolve_workers  # noqa: E402
 from repro.perf import fastpath  # noqa: E402
-from repro.perf.campaign import (  # noqa: E402
-    resolve_workers,
-    run_comparison_parallel,
-)
+from repro.perf.campaign import run_comparison_parallel  # noqa: E402
 from repro.perf.model import (  # noqa: E402
     PerfConfig,
     geomean_slowdown_percent,
@@ -215,7 +213,7 @@ def run_bench(workloads, config, repeats, min_speedup=None) -> dict:
         fastpath._CONTENT_MEMO.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            resolved = resolve_workers(workers, fast_config)
+            resolved = resolve_workers(workers, fast_config.workers)
             start = time.perf_counter()
             parallel = run_comparison_parallel(
                 organizations, workloads=workloads, config=fast_config, workers=workers

@@ -4,6 +4,7 @@ Usage::
 
     python -m repro list                     # available experiments
     python -m repro schemes                  # registered memory organizations
+    python -m repro switches                 # engine switches + resolved values
     python -m repro fig6                     # one experiment
     python -m repro fig6 --workers 8         # parallel Monte-Carlo (same output)
     python -m repro fig6 --scheme secded     # restrict to one organization
@@ -23,11 +24,11 @@ Usage::
     python -m repro campaign-status --remote HOST:7797
     python -m repro all                      # everything (interactive scale)
 
-``--workers N`` fans the Monte-Carlo reliability experiments
-(``REPRO_MC_WORKERS`` environment fallback) and the cycle-level
-performance campaigns (``REPRO_PERF_WORKERS`` fallback) across N
-processes; results are bit-identical to the sequential run in both
-engines. ``--scheme NAME`` (a name from ``python -m repro schemes``)
+``--workers N`` fans every campaign (the Monte-Carlo reliability
+experiments, the cycle-level performance campaigns, the Row-Hammer
+sweeps and playbooks) across N processes, with ``REPRO_WORKERS`` as the
+environment fallback; results are bit-identical to the sequential run
+in both engines. ``--scheme NAME`` (a name from ``python -m repro schemes``)
 restricts scheme-aware experiments (fig1c/fig6/fig7/fig10/fig11) to a
 single memory organization. ``--engine fast|reference`` selects the
 simulation engine for the engine-aware experiments: the Monte-Carlo
@@ -41,9 +42,10 @@ and the ``hammer-sweep`` attack campaign): a killed or re-scoped campaign
 recomputes only the cells it is missing. ``campaign-status DIR`` reads the
 store's append-only index and prints per-campaign completion and
 failure counts (``--remote HOST:PORT`` asks a running campaign server
-instead). The
-generic ``REPRO_WORKERS`` parallelizes every campaign family at once; the
-engine-specific variables above take precedence over it. ``--profile
+instead). ``switches`` prints the four environment switches
+(``REPRO_KERNELS``, ``REPRO_PERF``, ``REPRO_FAULTSIM``, ``REPRO_WORKERS``;
+see ``repro.switches``) with their allowed, default and resolved
+values. ``--profile
 PATH`` (fig7/fig11) additionally writes a per-pass cProfile breakdown of
 the fast perf engine — synthesis vs. content vs. timing, top functions
 by cumulative time — as JSON (see ``scripts/profile_fastpath.py``).
@@ -63,6 +65,7 @@ bit-identical results.
 
 import sys
 
+from repro import switches
 from repro.core import registry
 from repro.experiments.runner import experiment_names, run_all, run_experiment
 
@@ -331,6 +334,20 @@ def _print_schemes() -> None:
         print(f"{info.name:28} {flags:36} {info.display}: {info.summary}")
 
 
+def _print_switches() -> int:
+    """The switch table: name, env var, values, default, resolved value."""
+    try:
+        rows = switches.table()
+    except ValueError as error:  # a malformed REPRO_WORKERS
+        print(error, file=sys.stderr)
+        return 2
+    columns = ("name", "env", "values", "default", "resolved")
+    widths = [max(len(col), *(len(row[col]) for row in rows)) for col in columns]
+    for row in [dict(zip(columns, columns))] + rows:
+        print("  ".join(row[col].ljust(w) for col, w in zip(columns, widths)).rstrip())
+    return 0
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -340,12 +357,6 @@ def main(argv=None) -> int:
         cache_dir, argv = _parse_option(argv, "--cache-dir", str)
         profile_to, argv = _parse_option(argv, "--profile", str)
         store_url, argv = _parse_option(argv, "--store-url", str)
-        if engine is not None:
-            # Both engine switches recognize the same names; the runner
-            # resolves against the right module per experiment.
-            from repro.faultsim import fastpath
-
-            engine = fastpath.resolve_engine(engine)  # validates the name
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -362,6 +373,8 @@ def main(argv=None) -> int:
     if name == "schemes":
         _print_schemes()
         return 0
+    if name == "switches":
+        return _print_switches()
     if name == "playbook":
         try:
             return _playbook(

@@ -18,7 +18,7 @@ package:
   async job front door (``python -m repro serve`` / ``submit``);
 - :mod:`repro.campaign.progress` — shared rate/ETA/fraction progress
   accounting and the repo-wide worker-count resolution
-  (``REPRO_WORKERS`` generic fallback).
+  (``REPRO_WORKERS`` fallback, read by :mod:`repro.switches`).
 
 See the "campaign layer" section of ``docs/architecture.md`` for the
 adapter diagram, the add-a-campaign recipe, and the distributed
@@ -28,7 +28,6 @@ adapter diagram, the add-a-campaign recipe, and the distributed
 from repro.campaign.client import CampaignClient, RemoteResultStore
 from repro.campaign.engine import Campaign, run_campaign
 from repro.campaign.progress import (
-    GENERIC_WORKERS_ENV,
     CampaignProgress,
     ProgressBase,
     ProgressCallback,
@@ -58,7 +57,6 @@ __all__ = [
     "CampaignProgress",
     "ProgressBase",
     "ProgressCallback",
-    "GENERIC_WORKERS_ENV",
     "resolve_workers",
     "ResultStore",
     "STORE_VERSION",

@@ -30,7 +30,7 @@ def run(
     schemes: Tuple[str, ...] = SCHEMES,
     engine: Optional[str] = None,
 ) -> Dict[float, List[ReliabilityResult]]:
-    """``workers``/``REPRO_MC_WORKERS`` parallelize without changing output.
+    """``workers``/``REPRO_WORKERS`` parallelize without changing output.
 
     ``engine`` picks the Monte-Carlo engine (``"fast"``/``"reference"``;
     default: ``REPRO_FAULTSIM`` or reference).

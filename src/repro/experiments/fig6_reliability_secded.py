@@ -32,7 +32,7 @@ def run(
     engine: Optional[str] = None,
     store=None,
 ) -> List[ReliabilityResult]:
-    """``workers``/``REPRO_MC_WORKERS`` parallelize without changing output.
+    """``workers``/``REPRO_WORKERS`` parallelize without changing output.
 
     ``engine`` picks the Monte-Carlo engine (``"fast"``/``"reference"``;
     default: ``REPRO_FAULTSIM`` or reference) — statistically equivalent

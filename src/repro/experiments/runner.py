@@ -31,6 +31,7 @@ from repro.experiments import (
     table4_resiliency,
     table5_storage,
 )
+from repro import switches
 from repro.campaign import ProgressBase
 from repro.core import registry
 from repro.perf.model import PerfConfig
@@ -365,12 +366,8 @@ def run_experiment(
                 f"experiment {name!r} does not take --engine; "
                 f"engine-aware: {', '.join(sorted(ENGINE_AWARE))}"
             )
-        if name in _PERF_ENGINE:
-            from repro.perf import fastpath
-        else:
-            from repro.faultsim import fastpath
-
-        kwargs["engine"] = fastpath.resolve_engine(engine)
+        switch = switches.PERF if name in _PERF_ENGINE else switches.FAULTSIM
+        kwargs["engine"] = switch.resolve(engine)
     if cache_dir is not None:
         if name not in CACHE_AWARE:
             raise ValueError(

@@ -47,16 +47,9 @@ from repro.faultsim.parallel import (
     ProgressStats,
     Shard,
     plan_shards,
-    resolve_workers,
     simulate_parallel,
 )
-from repro.faultsim.fastpath import (
-    engine_mode,
-    forced_mode,
-    resolve_engine,
-    set_engine,
-    simulate_range_fast,
-)
+from repro.faultsim.fastpath import simulate_range_fast
 
 __all__ = [
     "FaultMode",
@@ -81,12 +74,7 @@ __all__ = [
     "simulate",
     "simulate_parallel",
     "plan_shards",
-    "resolve_workers",
     "ProgressStats",
     "Shard",
-    "engine_mode",
-    "forced_mode",
-    "resolve_engine",
-    "set_engine",
     "simulate_range_fast",
 ]

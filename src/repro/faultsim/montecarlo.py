@@ -46,6 +46,7 @@ from repro.faultsim.evaluators import Outcome
 from repro.faultsim.faults import FaultInstance, place_fault
 from repro.faultsim.fit import FAULT_MODES, FaultMode
 from repro.faultsim.geometry import ModuleGeometry
+from repro.switches import FAULTSIM
 from repro.utils import units
 from repro.utils.rng import derive_seed
 
@@ -67,7 +68,7 @@ class MonteCarloConfig:
     #: Evaluation grid resolution in months.
     grid_months: int = 6
     #: Worker processes for :func:`repro.faultsim.parallel.simulate_parallel`.
-    #: None defers to the ``REPRO_MC_WORKERS`` environment variable (and
+    #: None defers to the ``REPRO_WORKERS`` environment variable (and
     #: finally to 1 = in-process). Never changes the science output.
     workers: Optional[int] = None
     #: Shard count for the parallel engine; None picks a multiple of the
@@ -77,20 +78,18 @@ class MonteCarloConfig:
     #: checkpointing. A re-run with the same config resumes, skipping
     #: shards whose checkpoints verify.
     checkpoint_dir: Optional[str] = None
-    #: Monte-Carlo engine: ``"reference"`` (the scalar loop, bit-identical
-    #: to PR 1) or ``"fast"`` (the vectorized single-fault path of
-    #: :mod:`repro.faultsim.fastpath`). None defers to
-    #: ``fastpath.set_engine`` / the ``REPRO_FAULTSIM`` environment
-    #: variable, and finally to ``"reference"``. Unlike workers/shards
-    #: this *does* change the science output (statistically equivalent,
-    #: not bit-identical), so it is part of the fingerprint.
+    #: Monte-Carlo engine: ``"reference"`` (the scalar loop) or
+    #: ``"fast"`` (the vectorized single-fault path of
+    #: :mod:`repro.faultsim.fastpath`). None defers to the process-wide
+    #: ``faultsim`` switch (``REPRO_FAULTSIM``, default ``"reference"``).
+    #: Unlike workers/shards this *does* change the science output
+    #: (statistically equivalent, not bit-identical), so it is part of
+    #: the fingerprint.
     engine: Optional[str] = None
 
     def resolved_engine(self) -> str:
         """The engine this config runs under (config > env > reference)."""
-        from repro.faultsim import fastpath
-
-        return fastpath.resolve_engine(self.engine)
+        return FAULTSIM.resolve(self.engine)
 
     def science_fingerprint(self, scheme: str, geometry: ModuleGeometry) -> dict:
         """The output-determining knobs, as a JSON-friendly dict.

@@ -21,7 +21,7 @@ Robustness and observability (all supplied by the shared core):
   resume rejected checkpoints — why: corrupt vs. stale).
 
 Worker-count resolution order: explicit argument > ``config.workers`` >
-``REPRO_MC_WORKERS`` > the generic ``REPRO_WORKERS`` > 1 (in-process).
+``REPRO_WORKERS`` > 1 (in-process).
 
 The engine (scalar reference loop vs. the vectorized fast path of
 :mod:`repro.faultsim.fastpath`) is resolved once per run and recorded in
@@ -41,9 +41,9 @@ from repro.campaign import (
     CampaignProgress,
     ProgressBase,
     fingerprint_digest,
+    resolve_workers,
     run_campaign,
 )
-from repro.campaign import resolve_workers as _resolve_workers
 from repro.campaign.store import STORE_VERSION
 from repro.faultsim import fastpath
 from repro.faultsim.geometry import ModuleGeometry
@@ -56,11 +56,6 @@ from repro.faultsim.montecarlo import (
     scheme_name,
     simulate_range,
 )
-
-#: Environment variable consulted when neither the call nor the config
-#: pins a worker count (see the CLI's ``--workers``); the generic
-#: ``REPRO_WORKERS`` is the next fallback.
-WORKERS_ENV = "REPRO_MC_WORKERS"
 
 #: Checkpoint schema version (the unified store's cell version).
 CHECKPOINT_VERSION = STORE_VERSION
@@ -112,20 +107,6 @@ class ProgressStats(ProgressBase):
 
     def _trailer(self) -> str:
         return f"failures {self.failures_so_far}"
-
-
-def resolve_workers(
-    workers: Optional[int] = None,
-    config: Optional[MonteCarloConfig] = None,
-    strict: bool = False,
-) -> int:
-    """Explicit > config > ``REPRO_MC_WORKERS`` > ``REPRO_WORKERS`` > 1."""
-    return _resolve_workers(
-        workers,
-        config.workers if config is not None else None,
-        env=WORKERS_ENV,
-        strict=strict,
-    )
 
 
 def plan_shards(n_modules: int, n_shards: int) -> List[Shard]:
@@ -216,7 +197,7 @@ class _FaultSimCampaign(Campaign):
     def run_item(self, item: _ShardItem) -> List[FailureRecord]:
         # ``engine`` was resolved once by the coordinator and travels
         # with the campaign, so worker processes never re-consult
-        # mutable process state (``REPRO_FAULTSIM`` / ``set_engine``).
+        # mutable process state (``REPRO_FAULTSIM`` / ``forced()``).
         simulate_fn = (
             fastpath.simulate_range_fast
             if self.engine == "fast"
@@ -267,7 +248,7 @@ def simulate_parallel(
     namespace safely.
     """
     config = config or MonteCarloConfig()
-    workers = resolve_workers(workers, config)
+    workers = resolve_workers(workers, config.workers)
     if shards is None:
         shards = config.shards
     if shards is None:

@@ -56,7 +56,7 @@ class Speck64:
             raise ValueError("SPECK-64/128 requires a 16-byte key")
         self._round_keys = self._expand_key(key)
         # Kernel mode is captured at construction (keeps instances usable
-        # from both sides of a forced_mode() switch in tests).
+        # from both sides of a KERNELS.forced() block in tests).
         self._fast = kernels.use_fast()
         self._packed_keys = (
             kernels.pack_round_keys8(self._round_keys) if self._fast else None

@@ -13,12 +13,6 @@ from repro.perf.organizations import (
     sgx_style,
     synergy_style,
 )
-from repro.perf.fastpath import (
-    engine_mode,
-    forced_mode,
-    resolve_engine,
-    set_engine,
-)
 from repro.perf.model import PerfConfig, WorkloadResult, run_workload, run_comparison
 from repro.perf.campaign import (
     CampaignCell,
@@ -35,10 +29,6 @@ __all__ = [
     "safeguard",
     "sgx_style",
     "synergy_style",
-    "engine_mode",
-    "forced_mode",
-    "resolve_engine",
-    "set_engine",
     "PerfConfig",
     "WorkloadResult",
     "run_workload",

@@ -25,7 +25,7 @@ Robustness and observability (all supplied by the shared core):
   were rejected — why: corrupt vs. stale).
 
 Worker-count resolution order: explicit argument > ``config.workers`` >
-``REPRO_PERF_WORKERS`` > the generic ``REPRO_WORKERS`` > 1 (in-process).
+``REPRO_WORKERS`` > 1 (in-process).
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from repro.campaign import (
     CampaignProgress,
     ProgressBase,
     fingerprint_digest,
+    resolve_workers,
     run_campaign,
 )
-from repro.campaign import resolve_workers as _resolve_workers
 from repro.campaign.store import STORE_VERSION
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import StreamPrefetcher
@@ -61,11 +61,7 @@ from repro.perf.model import (
     run_workload,
 )
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization
-
-#: Environment variable consulted when neither the call nor the config
-#: pins a worker count (see the CLI's ``--workers``); the generic
-#: ``REPRO_WORKERS`` is the next fallback.
-WORKERS_ENV = "REPRO_PERF_WORKERS"
+from repro.switches import PERF
 
 #: Cell-cache schema version (the unified store's cell version).
 CACHE_VERSION = STORE_VERSION
@@ -123,20 +119,6 @@ class ProgressStats(ProgressBase):
     cells_per_sec = property(lambda self: self.rate)
 
 
-def resolve_workers(
-    workers: Optional[int] = None,
-    config: Optional[PerfConfig] = None,
-    strict: bool = False,
-) -> int:
-    """Explicit > config > ``REPRO_PERF_WORKERS`` > ``REPRO_WORKERS`` > 1."""
-    return _resolve_workers(
-        workers,
-        config.workers if config is not None else None,
-        env=WORKERS_ENV,
-        strict=strict,
-    )
-
-
 # -- science fingerprint ---------------------------------------------------------
 
 
@@ -155,7 +137,7 @@ def cell_fingerprint(cell: CampaignCell, config: PerfConfig) -> dict:
     prof = profile(cell.workload)
     defaults = CoreConfig()
     pf = StreamPrefetcher()
-    engine = fastpath.resolve_engine(config.engine)
+    engine = PERF.resolve(config.engine)
     return {
         "model_version": MODEL_VERSION,
         # The engines are statistically equivalent, not bit-identical, so
@@ -285,10 +267,8 @@ def run_cells(
     # Resolve the engine once, here in the parent: fingerprints, the
     # in-process path, and every pool worker then agree on it even if the
     # process-wide mode changes mid-campaign (or differs in a worker).
-    config = dataclasses.replace(
-        config, engine=fastpath.resolve_engine(config.engine)
-    )
-    workers = resolve_workers(workers, config)
+    config = dataclasses.replace(config, engine=PERF.resolve(config.engine))
+    workers = resolve_workers(workers, config.workers)
     if cache_dir is None:
         cache_dir = config.cache_dir
 

@@ -51,32 +51,29 @@ deterministic and pinned by its own golden corpus values, and the
 campaign fingerprint records the engine so cached cells never cross
 modes.
 
-Mode resolution: ``PerfConfig.engine`` > :func:`set_engine` /
-``REPRO_PERF`` environment variable > ``"reference"`` (the default).
+Mode resolution: ``PerfConfig.engine`` > the ``perf`` row of
+:mod:`repro.switches` (``REPRO_PERF``) > ``"reference"`` (the default).
 
-Within the fast engine, each pass additionally has a **kernel mode**
-(``REPRO_PERF_BATCH`` / :func:`set_pass_modes` / :func:`forced_passes`):
-``"batched"`` (default) runs the content pass through per-set numpy LRU
+Within the fast engine, the content pass runs through per-set numpy LRU
 kernels (set indices partition the access stream, so every set's LRU
 recurrence runs over a contiguous array; a vectorized residency check
 detects would-be inclusion back-invalidations and falls back to the
-exact scalar replay) and the timing pass over a precomputed
-structured event table; ``"scalar"`` keeps the original per-access /
-per-event Python loops. The two modes are **bit-identical** — the
-batched kernels are an evaluation-order change, not a model change —
-and the equivalence suites in ``tests/test_perf_batched.py`` pin it.
+exact scalar replay) and the timing pass over a precomputed structured
+event table. The original per-access / per-event Python loops stay as
+their **bit-identical** oracle — the batched kernels are an
+evaluation-order change, not a model change — reached only through the
+private ``scalar=True`` argument of :func:`_content_pass_uncached` and
+:func:`_timing_pass`; ``tests/test_perf_batched.py`` pins the identity.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,11 +85,6 @@ from repro.cpu.workloads import WorkloadProfile
 from repro.dram.controller import MemoryController
 from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE, DDR4_3200
 from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
-
-#: Recognized values of the ``REPRO_PERF`` environment variable.
-VALID_ENGINES = ("fast", "reference")
-
-ENGINE_ENV = "REPRO_PERF"
 
 #: Generation counter for the fast engine's replay/timing kernels,
 #: pinned into every perf-campaign cell fingerprint. Kernel rewrites
@@ -107,121 +99,6 @@ KERNEL_REVISION = 1
 #: Salt of the fast engine's counter-based draw streams (disjoint from
 #: the reference trace streams 0x7ACE / 0x5EED by derive_seed mixing).
 FAST_STREAM_SALT = 0x9EAF
-
-
-def _engine_from_env() -> str:
-    engine = os.environ.get(ENGINE_ENV, "reference").strip().lower() or "reference"
-    if engine not in VALID_ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV}={engine!r} is not recognized; use one of {VALID_ENGINES}"
-        )
-    return engine
-
-
-_engine = _engine_from_env()
-
-
-def engine_mode() -> str:
-    """The active engine: ``"reference"`` (default) or ``"fast"``."""
-    return _engine
-
-
-def use_fast() -> bool:
-    """True when the vectorized engine is active."""
-    return _engine == "fast"
-
-
-def set_engine(engine: str) -> None:
-    """Select the perf engine for runs started *from now on*."""
-    global _engine
-    if engine not in VALID_ENGINES:
-        raise ValueError(f"engine {engine!r} is not one of {VALID_ENGINES}")
-    _engine = engine
-
-
-@contextmanager
-def forced_mode(engine: str) -> Iterator[None]:
-    """Temporarily force an engine (tests and benchmarks)."""
-    previous = _engine
-    set_engine(engine)
-    try:
-        yield
-    finally:
-        set_engine(previous)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an explicit/config engine against the process-wide mode.
-
-    ``engine`` (usually ``PerfConfig.engine``) wins when set; otherwise
-    the process mode (``set_engine`` / ``REPRO_PERF``) applies. Always
-    returns a member of :data:`VALID_ENGINES`.
-    """
-    if engine is None:
-        return _engine
-    if engine not in VALID_ENGINES:
-        raise ValueError(f"engine {engine!r} is not one of {VALID_ENGINES}")
-    return engine
-
-
-#: Recognized per-pass kernel modes of the fast engine.
-VALID_PASS_MODES = ("batched", "scalar")
-
-PASS_MODE_ENV = "REPRO_PERF_BATCH"
-
-
-def _pass_mode_from_env() -> str:
-    mode = os.environ.get(PASS_MODE_ENV, "batched").strip().lower() or "batched"
-    if mode not in VALID_PASS_MODES:
-        raise ValueError(
-            f"{PASS_MODE_ENV}={mode!r} is not recognized; "
-            f"use one of {VALID_PASS_MODES}"
-        )
-    return mode
-
-
-_content_mode = _timing_mode = _pass_mode_from_env()
-
-
-def pass_modes() -> Tuple[str, str]:
-    """The active ``(content, timing)`` kernel modes of the fast engine."""
-    return _content_mode, _timing_mode
-
-
-def set_pass_modes(
-    content: Optional[str] = None, timing: Optional[str] = None
-) -> None:
-    """Select kernel modes per pass; ``None`` leaves a pass unchanged.
-
-    Both modes are bit-identical by construction; the switch exists so
-    the equivalence suites can compare them in isolation and so a
-    regression in one kernel can be sidestepped without losing the
-    other. The content mode is part of the memo key, so flipping it
-    never serves stale entries.
-    """
-    global _content_mode, _timing_mode
-    for mode in (content, timing):
-        if mode is not None and mode not in VALID_PASS_MODES:
-            raise ValueError(
-                f"pass mode {mode!r} is not one of {VALID_PASS_MODES}"
-            )
-    if content is not None:
-        _content_mode = content
-    if timing is not None:
-        _timing_mode = timing
-
-
-@contextmanager
-def forced_passes(
-    content: Optional[str] = None, timing: Optional[str] = None
-) -> Iterator[None]:
-    """Temporarily force per-pass kernel modes (tests and benchmarks)."""
-    previous = (_content_mode, _timing_mode)
-    set_pass_modes(content, timing)
-    try:
-        yield
-    finally:
-        set_pass_modes(*previous)
 
 
 def supports(prof: WorkloadProfile, core_config: Optional[CoreConfig] = None) -> bool:
@@ -711,7 +588,7 @@ def _batched_replay(
     fill_dirty: np.ndarray,
     pf_params: Tuple[int, int, int],
 ):
-    """The content replay as per-set array kernels (the batched mode).
+    """The content replay as per-set array kernels (the production path).
 
     Decomposes the scalar replay into independent per-set recurrences:
     the L1 kernel yields hits/victims per op, the prefetcher loop runs
@@ -1014,7 +891,6 @@ def _content_pass(
         seed,
         instructions_per_core,
         warmup_instructions,
-        _content_mode,
         _COLLAPSE_RUNS,
     )
     cached = _CONTENT_MEMO.get(key)
@@ -1037,7 +913,9 @@ def _content_pass_uncached(
     seed: int,
     instructions_per_core: int,
     warmup_instructions: int,
+    scalar: bool = False,
 ) -> Optional[_ContentResult]:
+    """One content pass; ``scalar=True`` runs the tests' scalar oracle."""
     total = warmup_instructions + instructions_per_core
     traces = [_synthesize_trace(prof, c, seed, total) for c in range(n_cores)]
     if any(t is None for t in traces):
@@ -1306,8 +1184,7 @@ def _content_pass_uncached(
         return counters, outcome, events, hits_base, misses_base, boundary
 
     batched = None
-    fell_back = False
-    if _content_mode == "batched":
+    if not scalar:
         if _COLLAPSE_RUNS:
             sel = leader
             col_write = eff_write[sel] != 0
@@ -1328,12 +1205,11 @@ def _content_pass_uncached(
             fill_dirty,
             (pf_streams, pf_degree, pf_distance),
         )
-        fell_back = batched is None
     if batched is not None:
         _BATCH_STATS["batched"] += 1
         counters, outcome, raw_events, hits_base, misses_base = batched
         boundary_used = col_boundary
-    elif fell_back:
+    elif not scalar:
         # A would-be back-invalidation breaks the per-set decomposition
         # (and any collapsed run): take the exact uncollapsed scalar
         # replay directly (rare: needs an LLC small enough to
@@ -1863,10 +1739,10 @@ def _legacy_events(table: _CoreEvents) -> List[Tuple[int, int, List[int]]]:
 
 
 def _timing_scalar(content: _ContentResult, organization, controller):
-    """The original per-event heap walk (the ``"scalar"`` timing mode).
+    """The original per-event heap walk (``_timing_pass(scalar=True)``).
 
-    Kept verbatim as the batched tick's equivalence oracle: both modes
-    must produce bit-identical results over the same content and
+    Runs only in tests, as the batched tick's equivalence oracle: both
+    walks must produce bit-identical results over the same content and
     controller (``tests/test_perf_batched.py`` pins it).
     """
     cpi = content.base_cpi
@@ -2009,7 +1885,7 @@ def _timing_scalar(content: _ContentResult, organization, controller):
 
 
 def _timing_batched(content: _ContentResult, organization, controller):
-    """The structured-array event tick (the default timing mode).
+    """The structured-array event tick (the production timing pass).
 
     The same walk as :func:`_timing_scalar` with every per-event
     derivation — stall-free base clock, ROB window-crossing op, event
@@ -2201,18 +2077,14 @@ def _timing_pass(
     config,
     diagnostics: Optional[dict] = None,
     reference_controller: bool = False,
-    mode: Optional[str] = None,
+    scalar: bool = False,
 ) -> SystemResult:
-    if mode is None:
-        mode = _timing_mode
-    elif mode not in VALID_PASS_MODES:
-        raise ValueError(f"pass mode {mode!r} is not one of {VALID_PASS_MODES}")
     controller = (
         _ReferenceControllerAdapter()
         if reference_controller
         else _FastController(content.coords)
     )
-    runner = _timing_batched if mode == "batched" else _timing_scalar
+    runner = _timing_scalar if scalar else _timing_batched
     measured, base, now, backpressure_stalls = runner(
         content, organization, controller
     )

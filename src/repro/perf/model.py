@@ -17,6 +17,7 @@ from repro.cpu.system import System, SystemResult
 from repro.cpu.workloads import SPEC2017_PROFILES, WorkloadProfile, profile
 from repro.perf import fastpath
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization
+from repro.switches import PERF
 
 
 @dataclass
@@ -33,7 +34,7 @@ class PerfConfig:
     warmup_instructions: int = 100_000
     seed: int = 0
     #: Simulation engine: ``"fast"`` / ``"reference"``, or None to follow
-    #: the process-wide mode (``REPRO_PERF`` / ``fastpath.set_engine``).
+    #: the process-wide ``perf`` switch (``REPRO_PERF``).
     #: Science-relevant — the engines are statistically equivalent but
     #: not bit-identical — so it is part of the campaign fingerprint.
     engine: Optional[str] = None
@@ -73,9 +74,7 @@ def run_workload(
     the reference :class:`System`.
     """
     config = config or PerfConfig()
-    if fastpath.resolve_engine(config.engine) == "fast" and fastpath.supports(
-        workload
-    ):
+    if PERF.resolve(config.engine) == "fast" and fastpath.supports(workload):
         return fastpath.run_workload_fast(workload, organization, config)
     system = System(
         workload, organization, n_cores=config.n_cores, seed=config.seed

@@ -24,6 +24,7 @@ import pstats
 import time
 from typing import List, Optional, Sequence
 
+from repro import switches
 from repro.perf import fastpath
 from repro.perf.model import PerfConfig
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization, safeguard
@@ -114,7 +115,7 @@ def profile_passes(
             "warmup_instructions": config.warmup_instructions,
             "seed": config.seed,
         },
-        "pass_modes": dict(zip(("content", "timing"), fastpath.pass_modes())),
+        "switches": switches.table(),
         "passes": {
             name: {
                 "seconds": round(seconds[name], 4),

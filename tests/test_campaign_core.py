@@ -19,7 +19,6 @@ from repro.campaign import (
     Campaign,
     CampaignError,
     CampaignProgress,
-    GENERIC_WORKERS_ENV,
     INDEX_NAME,
     ResultStore,
     STORE_VERSION,
@@ -30,14 +29,7 @@ from repro.campaign import (
     run_campaign,
     summarize_index,
 )
-from repro.faultsim.parallel import (
-    WORKERS_ENV as MC_WORKERS_ENV,
-    resolve_workers as mc_resolve_workers,
-)
-from repro.perf.campaign import (
-    WORKERS_ENV as PERF_WORKERS_ENV,
-    resolve_workers as perf_resolve_workers,
-)
+from repro.switches import WORKERS_ENV
 
 
 # -- worker resolution precedence ------------------------------------------------
@@ -52,56 +44,41 @@ class TestResolveWorkers:
         monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 64)
 
     def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(GENERIC_WORKERS_ENV, raising=False)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert resolve_workers() == 1
 
     def test_explicit_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.setenv("REPRO_TEST_WORKERS", "6")
-        assert resolve_workers(3, 4, env="REPRO_TEST_WORKERS") == 3
+        monkeypatch.setenv(WORKERS_ENV, "8")
+        assert resolve_workers(3, 4) == 3
 
     def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.setenv("REPRO_TEST_WORKERS", "6")
-        assert resolve_workers(None, 4, env="REPRO_TEST_WORKERS") == 4
-
-    def test_specific_env_beats_generic(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.setenv("REPRO_TEST_WORKERS", "6")
-        assert resolve_workers(env="REPRO_TEST_WORKERS") == 6
+        monkeypatch.setenv(WORKERS_ENV, "8")
+        assert resolve_workers(None, 4) == 4
 
     def test_generic_env_is_the_last_fallback(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.delenv("REPRO_TEST_WORKERS", raising=False)
-        assert resolve_workers(env="REPRO_TEST_WORKERS") == 8
+        monkeypatch.setenv(WORKERS_ENV, "8")
+        assert resolve_workers() == 8
+        assert resolve_workers(None, None) == 8
 
     def test_blank_env_values_are_ignored(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "  ")
+        monkeypatch.setenv(WORKERS_ENV, "  ")
         assert resolve_workers() == 1
 
     def test_invalid_counts_raise(self, monkeypatch):
-        monkeypatch.delenv(GENERIC_WORKERS_ENV, raising=False)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
         with pytest.raises(ValueError):
             resolve_workers(0)
         with pytest.raises(ValueError):
             resolve_workers(None, -2)
 
-    @pytest.mark.parametrize(
-        "domain_resolve,specific_env",
-        [
-            (mc_resolve_workers, MC_WORKERS_ENV),
-            (perf_resolve_workers, PERF_WORKERS_ENV),
-        ],
-    )
-    def test_domain_wrappers_honor_generic_fallback(
-        self, monkeypatch, domain_resolve, specific_env
-    ):
-        monkeypatch.delenv(specific_env, raising=False)
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "5")
-        assert domain_resolve() == 5
-        # ...and the engine-specific variable still wins over it.
-        monkeypatch.setenv(specific_env, "2")
-        assert domain_resolve() == 2
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+    def test_malformed_env_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV}='{raw}'"):
+            resolve_workers()
+        # An explicit or config count never consults the variable.
+        assert resolve_workers(2) == 2
+        assert resolve_workers(None, 3) == 3
 
 
 class TestResolveWorkersClamp:
@@ -109,7 +86,7 @@ class TestResolveWorkersClamp:
 
     @pytest.fixture(autouse=True)
     def _two_cpus(self, monkeypatch):
-        monkeypatch.delenv(GENERIC_WORKERS_ENV, raising=False)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
         monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 2)
 
     def test_clamps_with_one_warning(self):
@@ -129,20 +106,9 @@ class TestResolveWorkersClamp:
             assert resolve_workers(8, strict=True) == 8
 
     def test_clamp_applies_to_env_resolution_too(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "16")
+        monkeypatch.setenv(WORKERS_ENV, "16")
         with pytest.warns(RuntimeWarning, match="16 campaign workers"):
             assert resolve_workers() == 2
-
-    @pytest.mark.parametrize(
-        "domain_resolve",
-        [mc_resolve_workers, perf_resolve_workers],
-    )
-    def test_domain_wrappers_clamp_and_pass_strict(self, domain_resolve):
-        with pytest.warns(RuntimeWarning):
-            assert domain_resolve(5) == 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert domain_resolve(5, strict=True) == 5
 
     def test_unknown_cpu_count_clamps_to_one(self, monkeypatch):
         monkeypatch.setattr(

@@ -3,9 +3,11 @@
 Four pillars, mirroring the kernel-equivalence suite's fast/reference
 oracle pattern:
 
-- **Mode plumbing** — ``REPRO_FAULTSIM`` resolution order
-  (config > ``set_engine``/env > reference default), the ``forced_mode``
-  test hook, and the engine field in the science fingerprint.
+- **Mode plumbing** — how :class:`MonteCarloConfig` consumes the
+  ``faultsim`` switch of :mod:`repro.switches` (config >
+  ``REPRO_FAULTSIM`` > reference default) and the engine field in the
+  science fingerprint; the switch table itself is pinned in
+  ``test_switches.py``.
 - **Exact equivalence where promised** — multi-fault modules fall back
   to the scalar loop and are bit-identical to the reference engine; the
   fast engine is deterministic per seed and shard/worker-invariant.
@@ -36,6 +38,7 @@ from repro.faultsim.montecarlo import (
     simulate_range,
 )
 from repro.faultsim.parallel import simulate_parallel
+from repro.switches import FAULTSIM
 from repro.utils.rng import derive_seed
 from tests.test_montecarlo_parallel import assert_identical
 
@@ -52,35 +55,34 @@ def geometry_for(scheme: str):
 
 class TestEnginePlumbing:
     def test_default_is_reference(self):
-        assert fastpath.resolve_engine(None) in fastpath.VALID_ENGINES
-        with fastpath.forced_mode("reference"):
-            assert fastpath.engine_mode() == "reference"
-            assert not fastpath.use_fast()
+        assert FAULTSIM.default == "reference"
+        with FAULTSIM.forced("reference"):
             assert MonteCarloConfig().resolved_engine() == "reference"
 
     def test_config_beats_process_mode(self):
-        with fastpath.forced_mode("reference"):
+        with FAULTSIM.forced("reference"):
             assert MonteCarloConfig(engine="fast").resolved_engine() == "fast"
-        with fastpath.forced_mode("fast"):
-            assert fastpath.use_fast()
+        with FAULTSIM.forced("fast"):
             assert MonteCarloConfig(engine="reference").resolved_engine() == (
                 "reference"
             )
             assert MonteCarloConfig().resolved_engine() == "fast"
 
     def test_forced_mode_restores(self):
-        before = fastpath.engine_mode()
-        with fastpath.forced_mode("fast"):
-            assert fastpath.engine_mode() == "fast"
-        assert fastpath.engine_mode() == before
+        before = MonteCarloConfig().resolved_engine()
+        with FAULTSIM.forced("fast"):
+            assert MonteCarloConfig().resolved_engine() == "fast"
+        assert MonteCarloConfig().resolved_engine() == before
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            fastpath.set_engine("turbo")
-        with pytest.raises(ValueError):
-            fastpath.resolve_engine("turbo")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="REPRO_FAULTSIM"):
             MonteCarloConfig(engine="turbo").resolved_engine()
+        with pytest.raises(ValueError, match="REPRO_FAULTSIM"):
+            simulate(
+                SafeGuardSECDEDEvaluator(X8_SECDED_16GB),
+                X8_SECDED_16GB,
+                MonteCarloConfig(engine="turbo", n_modules=10),
+            )
 
     def test_fingerprint_records_engine(self):
         fast = MonteCarloConfig(engine="fast", **STAT)
@@ -157,7 +159,7 @@ class TestFastDeterminism:
         ambient = MonteCarloConfig(seed=3, **STAT)
         evaluator = SafeGuardSECDEDEvaluator(X8_SECDED_16GB)
         expected = simulate(evaluator, X8_SECDED_16GB, explicit)
-        with fastpath.forced_mode("fast"):
+        with FAULTSIM.forced("fast"):
             assert_identical(
                 expected, simulate(evaluator, X8_SECDED_16GB, ambient)
             )

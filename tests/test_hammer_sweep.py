@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.campaign import GENERIC_WORKERS_ENV, summarize_index
+from repro.campaign import summarize_index
 from repro.rowhammer.sweep import (
     DEFAULT_MITIGATIONS,
     SweepCell,
@@ -14,6 +14,7 @@ from repro.rowhammer.sweep import (
     plan_sweep,
     run_sweep,
 )
+from repro.switches import WORKERS_ENV
 
 
 #: Small enough to run in seconds, large enough that an unmitigated
@@ -65,11 +66,11 @@ class TestDeterminism:
         )
 
     def test_generic_workers_env_is_honored(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "2")
+        monkeypatch.setenv(WORKERS_ENV, "2")
         cells = tiny_cells()[:4]
-        monkeypatch.delenv(GENERIC_WORKERS_ENV)
+        monkeypatch.delenv(WORKERS_ENV)
         expected = as_json(run_sweep(cells, TINY))
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "2")
+        monkeypatch.setenv(WORKERS_ENV, "2")
         assert as_json(run_sweep(cells, TINY)) == expected
 
 

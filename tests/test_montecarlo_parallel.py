@@ -42,6 +42,7 @@ from repro.faultsim.parallel import (
     resolve_workers,
     simulate_parallel,
 )
+from repro.switches import WORKERS_ENV
 from repro.utils import units
 from repro.utils.rng import derive_seed
 
@@ -91,19 +92,19 @@ class TestResolveWorkers:
         monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 64)
 
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_WORKERS", "9")
-        assert resolve_workers(3, MonteCarloConfig(workers=5)) == 3
+        monkeypatch.setenv(WORKERS_ENV, "9")
+        assert resolve_workers(3, MonteCarloConfig(workers=5).workers) == 3
 
     def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_WORKERS", "9")
-        assert resolve_workers(None, MonteCarloConfig(workers=5)) == 5
+        monkeypatch.setenv(WORKERS_ENV, "9")
+        assert resolve_workers(None, MonteCarloConfig(workers=5).workers) == 5
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_WORKERS", "9")
-        assert resolve_workers(None, MonteCarloConfig()) == 9
+        monkeypatch.setenv(WORKERS_ENV, "9")
+        assert resolve_workers(None, MonteCarloConfig().workers) == 9
 
     def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MC_WORKERS", raising=False)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert resolve_workers() == 1
 
     def test_rejects_nonpositive(self):

@@ -1,10 +1,11 @@
 """Equivalence suite for the fast perf engine's batched kernels.
 
-The batched content/timing passes (``REPRO_PERF_BATCH``) are exact
-rewrites of the scalar fast passes, pinned here from four directions:
+The batched content/timing passes are exact rewrites of the scalar fast
+passes, which survive as their oracle behind the private ``scalar=True``
+argument of ``fastpath._content_pass_uncached`` and
+``fastpath._timing_pass`` (it never touches the content memo). The
+identity is pinned here from three directions:
 
-- **Pass-mode plumbing** — environment parsing, ``set_pass_modes``
-  validation, and the ``forced_passes`` test hook restoring state.
 - **Kernel properties** (hypothesis) — the per-set batched LRU kernels
   (:func:`fastpath._l1_kernel`, :func:`fastpath._llc_kernel`) replayed
   against straightforward dict/list LRU references over random access
@@ -17,7 +18,7 @@ rewrites of the scalar fast passes, pinned here from four directions:
 - **Scalar fallback** (pinned) — shrinking the cache geometry until LLC
   evictions back-invalidate live L1 lines makes ``_batched_replay``
   return ``None`` and the pass take the exact scalar replay; results
-  still match the scalar mode bit-for-bit and the fallback counter
+  still match the scalar oracle bit-for-bit and the fallback counter
   records the event.
 """
 
@@ -46,16 +47,19 @@ def _fresh_memo():
     fastpath._CONTENT_MEMO.clear()
 
 
-def _content(mode, workload, seed=0, **overrides):
+def _content(workload, seed=0, scalar=False, **overrides):
+    """The production (memoized, batched) content pass, or its scalar oracle."""
     params = {**SCALE, **overrides}
-    with fastpath.forced_passes(content=mode):
-        return fastpath._content_pass(
-            profile(workload),
-            params["n_cores"],
-            seed,
-            params["instructions_per_core"],
-            params["warmup_instructions"],
-        )
+    args = (
+        profile(workload),
+        params["n_cores"],
+        seed,
+        params["instructions_per_core"],
+        params["warmup_instructions"],
+    )
+    if scalar:
+        return fastpath._content_pass_uncached(*args, scalar=True)
+    return fastpath._content_pass(*args)
 
 
 def _assert_content_equal(a, b):
@@ -79,53 +83,6 @@ def _assert_content_equal(a, b):
         assert list(ea.act_off) == list(eb.act_off)
         assert list(ea.actions) == list(eb.actions)
         assert (ea.n_ev, ea.n_warm) == (eb.n_ev, eb.n_warm)
-
-
-# --- pass-mode plumbing ----------------------------------------------------
-
-
-class TestPassModePlumbing:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(fastpath.PASS_MODE_ENV, raising=False)
-        assert fastpath._pass_mode_from_env() == "batched"
-
-    def test_env_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv(fastpath.PASS_MODE_ENV, " Scalar ")
-        assert fastpath._pass_mode_from_env() == "scalar"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(fastpath.PASS_MODE_ENV, "turbo")
-        with pytest.raises(ValueError, match="REPRO_PERF_BATCH"):
-            fastpath._pass_mode_from_env()
-
-    def test_set_pass_modes_validates(self):
-        with pytest.raises(ValueError):
-            fastpath.set_pass_modes(content="turbo")
-        with pytest.raises(ValueError):
-            fastpath.set_pass_modes(timing="turbo")
-
-    def test_forced_passes_restores_on_exit_and_error(self):
-        before = fastpath.pass_modes()
-        with fastpath.forced_passes("scalar", "scalar"):
-            assert fastpath.pass_modes() == ("scalar", "scalar")
-        assert fastpath.pass_modes() == before
-        with pytest.raises(RuntimeError):
-            with fastpath.forced_passes(content="scalar"):
-                raise RuntimeError("boom")
-        assert fastpath.pass_modes() == before
-
-    def test_forced_passes_partial_override(self):
-        before = fastpath.pass_modes()
-        with fastpath.forced_passes(timing="scalar"):
-            assert fastpath.pass_modes() == (before[0], "scalar")
-        assert fastpath.pass_modes() == before
-
-    def test_timing_pass_mode_argument_validates(self):
-        content = _content("batched", "gcc")
-        with pytest.raises(ValueError, match="pass mode"):
-            fastpath._timing_pass(
-                content, profile("gcc"), BASELINE_ECC, PerfConfig(**SCALE), mode="turbo"
-            )
 
 
 # --- kernel properties (hypothesis) ----------------------------------------
@@ -247,15 +204,15 @@ class TestContentPassEquivalence:
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batched_equals_scalar(self, workload, seed):
-        batched = _content("batched", workload, seed=seed)
-        scalar = _content("scalar", workload, seed=seed)
+        batched = _content(workload, seed=seed)
+        scalar = _content(workload, seed=seed, scalar=True)
         _assert_content_equal(batched, scalar)
 
     @pytest.mark.parametrize("collapse", [True, False])
     def test_equivalence_under_both_collapse_settings(self, monkeypatch, collapse):
         monkeypatch.setattr(fastpath, "_COLLAPSE_RUNS", collapse)
-        batched = _content("batched", "mcf")
-        scalar = _content("scalar", "mcf")
+        batched = _content("mcf")
+        scalar = _content("mcf", scalar=True)
         _assert_content_equal(batched, scalar)
 
     @settings(max_examples=8, deadline=None)
@@ -277,43 +234,53 @@ class TestContentPassEquivalence:
             instructions_per_core=instructions,
             warmup_instructions=warmup,
         )
-        batched = _content("batched", workload, seed=seed, **overrides)
-        scalar = _content("scalar", workload, seed=seed, **overrides)
+        batched = _content(workload, seed=seed, **overrides)
+        scalar = _content(workload, seed=seed, scalar=True, **overrides)
         _assert_content_equal(batched, scalar)
 
     def test_batched_counter_increments(self):
         before = fastpath._BATCH_STATS["batched"]
-        _content("batched", "gcc", seed=3)
+        _content("gcc", seed=3)
         assert fastpath._BATCH_STATS["batched"] == before + 1
+
+    def test_scalar_oracle_bypasses_memo_and_counters(self):
+        before = dict(fastpath._BATCH_STATS)
+        _content("gcc", seed=3, scalar=True)
+        assert not fastpath._CONTENT_MEMO
+        assert fastpath._BATCH_STATS == before
+        batched = _content("gcc", seed=3)
+        assert len(fastpath._CONTENT_MEMO) == 1
+        _content("gcc", seed=3, scalar=True)
+        assert list(fastpath._CONTENT_MEMO.values()) == [batched]
 
 
 class TestTimingPassEquivalence:
     @pytest.mark.parametrize("workload", ["gcc", "lbm"])
     @pytest.mark.parametrize("organization", [BASELINE_ECC, safeguard()])
     def test_batched_tick_equals_scalar_walk(self, workload, organization):
-        content = _content("batched", workload)
+        content = _content(workload)
         config = PerfConfig(**SCALE)
         prof = profile(workload)
         diag_b, diag_s = {}, {}
         batched = fastpath._timing_pass(
-            content, prof, organization, config, diagnostics=diag_b, mode="batched"
+            content, prof, organization, config, diagnostics=diag_b
         )
         scalar = fastpath._timing_pass(
-            content, prof, organization, config, diagnostics=diag_s, mode="scalar"
+            content, prof, organization, config, diagnostics=diag_s, scalar=True
         )
         assert batched == scalar
         assert diag_b == diag_s
 
     def test_equivalence_holds_with_reference_controller(self):
-        content = _content("batched", "mcf")
+        content = _content("mcf")
         config = PerfConfig(**SCALE)
         prof = profile("mcf")
         results = [
             fastpath._timing_pass(
                 content, prof, safeguard(), config,
-                reference_controller=reference, mode=mode,
+                reference_controller=reference, scalar=scalar,
             )
-            for mode in ("batched", "scalar")
+            for scalar in (False, True)
             for reference in (False, True)
         ]
         assert all(result == results[0] for result in results)
@@ -339,18 +306,18 @@ class TestScalarFallback:
 
     def test_back_invalidation_triggers_fallback(self, tiny_llc):
         before = dict(fastpath._BATCH_STATS)
-        batched = _content("batched", "mcf", instructions_per_core=3_000,
+        batched = _content("mcf", instructions_per_core=3_000,
                            warmup_instructions=500)
         assert fastpath._BATCH_STATS["fallbacks"] == before["fallbacks"] + 1
         assert fastpath._BATCH_STATS["batched"] == before["batched"]
-        scalar = _content("scalar", "mcf", instructions_per_core=3_000,
+        scalar = _content("mcf", scalar=True, instructions_per_core=3_000,
                           warmup_instructions=500)
         _assert_content_equal(batched, scalar)
 
     def test_default_geometry_never_falls_back(self):
         before = dict(fastpath._BATCH_STATS)
         for workload in WORKLOADS:
-            _content("batched", workload, seed=7)
+            _content(workload, seed=7)
         assert fastpath._BATCH_STATS["fallbacks"] == before["fallbacks"]
         assert fastpath._BATCH_STATS["batched"] == before["batched"] + len(WORKLOADS)
 
@@ -360,18 +327,19 @@ class TestScalarFallback:
 
 class TestIntegration:
     def test_run_workload_is_mode_invariant(self):
+        """The production path equals both scalar oracles end to end."""
         from repro.perf.model import run_workload
 
         config = PerfConfig(engine="fast", **SCALE)
         prof = profile("gcc")
+        oracle_content = _content("gcc", scalar=True)
         for organization in (BASELINE_ECC, safeguard()):
-            with fastpath.forced_passes("batched", "batched"):
-                fastpath._CONTENT_MEMO.clear()
-                batched = run_workload(prof, organization, config)
-            with fastpath.forced_passes("scalar", "scalar"):
-                fastpath._CONTENT_MEMO.clear()
-                scalar = run_workload(prof, organization, config)
-            assert batched == scalar
+            fastpath._CONTENT_MEMO.clear()
+            production = run_workload(prof, organization, config)
+            oracle = fastpath._timing_pass(
+                oracle_content, prof, organization, config, scalar=True
+            )
+            assert production == oracle
 
     def test_fingerprint_pins_kernel_revision(self):
         from repro.perf.campaign import cell_fingerprint, plan_grid
@@ -408,7 +376,7 @@ class TestIntegration:
             run_experiment("table1", profile_to="/tmp/nope.json")
 
     def test_oversubscribed_workers_warn_and_clamp(self, monkeypatch):
-        from repro.perf.campaign import resolve_workers
+        from repro.campaign import resolve_workers
 
         monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 2)
         with pytest.warns(RuntimeWarning, match="clamping to 2"):

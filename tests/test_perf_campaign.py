@@ -26,7 +26,6 @@ import pytest
 from repro.cpu.system import SystemResult
 from repro.cpu.workloads import profile
 from repro.perf.campaign import (
-    WORKERS_ENV,
     CampaignCell,
     ProgressStats,
     _cache_path,
@@ -52,6 +51,7 @@ from repro.perf.organizations import (
     safeguard,
     sgx_style,
 )
+from repro.switches import WORKERS_ENV
 
 #: Small but mechanism-covering scale (prefetch trains, LLC churn,
 #: posted-write drains all fire) so the grid sweeps stay fast.
@@ -268,11 +268,11 @@ def test_resolve_workers_precedence(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     assert resolve_workers() == 1
     assert resolve_workers(3) == 3
-    assert resolve_workers(None, PerfConfig(workers=2)) == 2
+    assert resolve_workers(None, PerfConfig(workers=2).workers) == 2
     monkeypatch.setenv(WORKERS_ENV, "5")
     assert resolve_workers() == 5
     assert resolve_workers(2) == 2  # explicit beats env
-    assert resolve_workers(None, PerfConfig(workers=4)) == 4  # config beats env
+    assert resolve_workers(None, PerfConfig(workers=4).workers) == 4  # config beats env
     with pytest.raises(ValueError):
         resolve_workers(0)
 

@@ -2,10 +2,11 @@
 
 Five pillars, mirroring ``test_faultsim_fastpath.py``:
 
-- **Mode plumbing** — ``REPRO_PERF`` resolution order
-  (``PerfConfig.engine`` > ``set_engine``/env > reference default), the
-  ``forced_mode`` test hook, and the engine field in the campaign
-  fingerprint (cached cells never cross engines).
+- **Mode plumbing** — how the perf layer consumes the ``perf`` switch
+  of :mod:`repro.switches` (``PerfConfig.engine`` > ``REPRO_PERF`` >
+  reference default) and the engine field in the campaign fingerprint
+  (cached cells never cross engines); the switch table itself is pinned
+  in ``test_switches.py``.
 - **Exact determinism where promised** — the fast engine replays the
   golden corpus's ``result_fast`` records bit-for-bit; the same-line run
   collapse is an exact rewrite (collapsed == uncollapsed); and
@@ -53,6 +54,7 @@ from repro.perf.model import (
     run_workload,
 )
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization, safeguard
+from repro.switches import PERF
 from repro.utils.rng import derive_seed
 
 _CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_perf.json")
@@ -76,33 +78,36 @@ def _config(engine, seed=0, scale=GOLDEN_SCALE):
 # --- mode plumbing ---------------------------------------------------------
 
 
+def _engine_of(config):
+    """The engine a perf campaign cell runs (and is fingerprinted) under."""
+    cell = plan_grid([safeguard(8)], ["gcc"], [0])[0]
+    return cell_fingerprint(cell, config)["engine"]
+
+
 class TestEnginePlumbing:
     def test_default_is_reference(self):
-        assert fastpath.resolve_engine(None) in fastpath.VALID_ENGINES
-        with fastpath.forced_mode("reference"):
-            assert fastpath.engine_mode() == "reference"
-            assert not fastpath.use_fast()
-            assert fastpath.resolve_engine(None) == "reference"
+        assert PERF.default == "reference"
+        with PERF.forced("reference"):
+            assert _engine_of(_config(None)) == "reference"
 
     def test_config_beats_process_mode(self):
-        with fastpath.forced_mode("reference"):
-            assert fastpath.resolve_engine("fast") == "fast"
-        with fastpath.forced_mode("fast"):
-            assert fastpath.use_fast()
-            assert fastpath.resolve_engine("reference") == "reference"
-            assert fastpath.resolve_engine(None) == "fast"
+        with PERF.forced("reference"):
+            assert _engine_of(_config("fast")) == "fast"
+        with PERF.forced("fast"):
+            assert _engine_of(_config("reference")) == "reference"
+            assert _engine_of(_config(None)) == "fast"
 
     def test_forced_mode_restores(self):
-        before = fastpath.engine_mode()
-        with fastpath.forced_mode("fast"):
-            assert fastpath.engine_mode() == "fast"
-        assert fastpath.engine_mode() == before
+        before = _engine_of(_config(None))
+        with PERF.forced("fast"):
+            assert _engine_of(_config(None)) == "fast"
+        assert _engine_of(_config(None)) == before
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            fastpath.set_engine("turbo")
-        with pytest.raises(ValueError):
-            fastpath.resolve_engine("turbo")
+        with pytest.raises(ValueError, match="REPRO_PERF"):
+            _engine_of(_config("turbo"))
+        with pytest.raises(ValueError, match="REPRO_PERF"):
+            run_workload(profile("gcc"), BASELINE_ECC, _config("turbo"))
 
     def test_env_selects_fast(self):
         env = {**os.environ, "REPRO_PERF": "fast", "PYTHONPATH": "src"}
@@ -110,7 +115,11 @@ class TestEnginePlumbing:
             [
                 sys.executable,
                 "-c",
-                "from repro.perf import fastpath; print(fastpath.engine_mode())",
+                "from repro.perf.campaign import cell_fingerprint, plan_grid; "
+                "from repro.perf.model import PerfConfig; "
+                "from repro.perf.organizations import safeguard; "
+                "cell = plan_grid([safeguard(8)], ['gcc'], [0])[0]; "
+                "print(cell_fingerprint(cell, PerfConfig())['engine'])",
             ],
             env=env,
             capture_output=True,
@@ -137,7 +146,7 @@ class TestEnginePlumbing:
         assert fp_fast["engine"] == "fast"
         assert fp_ref["engine"] == "reference"
         assert fp_fast != fp_ref
-        with fastpath.forced_mode("fast"):
+        with PERF.forced("fast"):
             assert cell_fingerprint(cell, _config(None))["engine"] == "fast"
 
 
