@@ -213,7 +213,7 @@ def run_bench(workloads, config, repeats, min_speedup=None) -> dict:
         fastpath._CONTENT_MEMO.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            resolved = resolve_workers(workers, fast_config.workers)
+            resolved = resolve_workers(workers)
             start = time.perf_counter()
             parallel = run_comparison_parallel(
                 organizations, workloads=workloads, config=fast_config, workers=workers

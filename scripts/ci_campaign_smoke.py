@@ -1,11 +1,13 @@
 """Unified campaign smoke: every adapter, 2 workers, one shared store.
 
 CI's one-stop check that the generic campaign core works end to end for
-all three campaign families, replacing the per-engine smoke steps it
+all four campaign families, replacing the per-engine smoke steps it
 grew out of:
 
 1. **Monte-Carlo shards** (both faultsim engines): the 2-worker sharded
-   run is bit-identical to the sequential loop.
+   run is bit-identical to the sequential loop, and
+   ``python -m repro campaign-status`` on its checkpoint directory lists
+   the ``faultsim`` family with one completed item per shard.
 2. **Performance cells** (both perf engines): the 2-worker grid is
    bit-identical to ``run_comparison``, and a second run reloads every
    cell from the shared store.
@@ -25,8 +27,8 @@ grew out of:
    :class:`RemoteResultStore` recomputes only the missing points.
 
 All cached campaigns write into ONE shared store directory (cells are
-fingerprint-named, so families cohabit), and the final step checks
-``python -m repro campaign-status`` summarizes it.
+named ``<family>-<digest>.json``, so families cohabit), and the final
+step checks ``python -m repro campaign-status`` summarizes it.
 
 Run locally: ``PYTHONPATH=src python scripts/ci_campaign_smoke.py``
 """
@@ -53,6 +55,29 @@ from repro.rowhammer.playbook import (
 )
 from repro.rowhammer.sweep import SweepConfig, plan_sweep, run_sweep
 
+#: Monte-Carlo shards per faultsim run.
+SHARDS = 4
+
+
+def campaign_status(store: str) -> dict:
+    """``python -m repro campaign-status STORE`` parsed: family -> counts."""
+    status = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign-status", store],
+        capture_output=True,
+        text=True,
+        env=dict(
+            os.environ,
+            PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        ),
+    )
+    assert status.returncode == 0, status.stderr
+    families = {}
+    for line in status.stdout.splitlines():
+        # "<family> completed N  cells N  index entries N  failures N"
+        family, _, counts = line.partition(" completed ")
+        families[family.strip()] = int(counts.split()[0])
+    return families
+
 
 def check_faultsim(store: str) -> None:
     for engine, evaluator in (
@@ -63,21 +88,25 @@ def check_faultsim(store: str) -> None:
             n_modules=10_000, seed=42, fit_multiplier=10.0, engine=engine
         )
         sequential = simulate(evaluator, X8_SECDED_16GB, config)
+        checkpoints = os.path.join(store, f"faultsim-{engine}")
         parallel = simulate_parallel(
             evaluator,
             X8_SECDED_16GB,
             config,
             workers=2,
-            shards=4,
-            checkpoint_dir=os.path.join(store, f"faultsim-{engine}"),
+            shards=SHARDS,
+            checkpoint_dir=checkpoints,
         )
         assert sequential.n_failed > 0
         assert parallel.fail_times == sequential.fail_times
         assert parallel.fail_probability == sequential.fail_probability
         assert parallel.failures_by_scope == sequential.failures_by_scope
+        completed = campaign_status(checkpoints)
+        assert completed == {"faultsim": SHARDS}, completed
         print(
             f"faultsim[{engine}] OK: {parallel.n_failed} failures, "
-            f"2-worker result identical to sequential"
+            f"2-worker result identical to sequential, campaign-status "
+            f"lists all {SHARDS} shards"
         )
 
 
@@ -106,7 +135,7 @@ def check_perf(store: str) -> None:
         for a, b, c in zip(sequential, parallel, cached):
             assert a.baseline == b.baseline == c.baseline
             assert a.results == b.results == c.results
-        assert stats[-1].cells_from_cache == stats[-1].cells_total == 4
+        assert stats[-1].items_from_store == stats[-1].items_total == 4
         print(
             f"perf[{engine}] OK: 2-worker grid identical to sequential, "
             f"all 4 cells reloaded from the shared store"
@@ -378,20 +407,12 @@ def check_status(store: str) -> None:
     assert summary["perf"]["completed"] == 6
     assert summary["hammer-sweep"]["completed"] == len(sweep_cells())
     assert summary["playbook"]["completed"] == len(playbook_cells())
-    status = subprocess.run(
-        [sys.executable, "-m", "repro", "campaign-status", store],
-        capture_output=True,
-        text=True,
-        env=dict(
-            os.environ,
-            PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
-        ),
-    )
-    assert status.returncode == 0, status.stderr
-    assert "perf" in status.stdout and "hammer-sweep" in status.stdout
-    assert "playbook" in status.stdout
-    print("campaign-status OK:")
-    print(status.stdout.rstrip())
+    completed = campaign_status(store)
+    assert completed == {
+        family: summary[family]["completed"]
+        for family in ("perf", "hammer-sweep", "playbook")
+    }, completed
+    print(f"campaign-status OK: {completed}")
 
 
 def main() -> int:

@@ -7,7 +7,9 @@ probability-of-failure curves with 95% Wilson intervals.
 
 The population is sharded across worker processes (bit-identical to a
 sequential run; see repro.faultsim.parallel) and each shard is
-checkpointed, so a killed run resumes where it left off::
+checkpointed as a ``faultsim`` cell of one campaign store, so a killed
+run resumes where it left off and ``python -m repro campaign-status
+DIR`` reports how far it got::
 
     PYTHONPATH=src python scripts/paper_scale_reliability.py \
         --workers 8 --checkpoint-dir /tmp/mc-ckpt
@@ -43,24 +45,19 @@ CHIPKILL_MODULES = 2_000_000
 
 
 def _progress(stats):
-    end = "\n" if stats.shards_done == stats.shards_total else "\r"
+    end = "\n" if stats.items_done == stats.items_total else "\r"
     print(f"  {stats.describe()}", end=end, file=sys.stderr, flush=True)
 
 
-def _checkpoint_dir(base, label):
-    """Per-(figure, scheme) subdirectory so shard files never collide."""
-    if base is None:
-        return None
-    return os.path.join(base, label)
-
-
-def _simulate(evaluator, geometry, config, args, label):
+def _simulate(evaluator, geometry, config, args):
+    # Cells are named by their fingerprint digest, so every figure and
+    # scheme shares the one checkpoint directory.
     return simulate_parallel(
         evaluator,
         geometry,
         config,
         workers=args.workers,
-        checkpoint_dir=_checkpoint_dir(args.checkpoint_dir, label),
+        checkpoint_dir=args.checkpoint_dir,
         progress=_progress if not args.quiet else None,
     )
 
@@ -72,15 +69,13 @@ def run_figure6(args):
     geometry = X8_SECDED_16GB
     rows = []
     baseline = None
-    for index, evaluator in enumerate(
-        (
-            SECDEDEvaluator(geometry),
-            SafeGuardSECDEDEvaluator(geometry, column_parity=False),
-            SafeGuardSECDEDEvaluator(geometry, column_parity=True),
-        )
+    for evaluator in (
+        SECDEDEvaluator(geometry),
+        SafeGuardSECDEDEvaluator(geometry, column_parity=False),
+        SafeGuardSECDEDEvaluator(geometry, column_parity=True),
     ):
         t0 = time.time()
-        result = _simulate(evaluator, geometry, config, args, f"fig6-{index}")
+        result = _simulate(evaluator, geometry, config, args)
         low, high = result.confidence_interval()
         if baseline is None:
             baseline = result
@@ -114,8 +109,7 @@ def run_figure10(args):
             SafeGuardChipkillEvaluator(geometry),
         ):
             t0 = time.time()
-            label = f"fig10-{multiplier:g}x-{evaluator.name}"
-            result = _simulate(evaluator, geometry, config, args, label)
+            result = _simulate(evaluator, geometry, config, args)
             low, high = result.confidence_interval()
             rows.append(
                 (

@@ -1,10 +1,14 @@
 """The generic campaign core: one implementation of every campaign mechanism.
 
-The repo runs three campaign families — Monte-Carlo reliability shards
-(:mod:`repro.faultsim.parallel`), cycle-level performance cells
-(:mod:`repro.perf.campaign`), and Row-Hammer attack sweeps
-(:mod:`repro.rowhammer.sweep`). All three are thin adapters over this
-package:
+The repo runs four campaign families — Monte-Carlo reliability shards
+(``faultsim``, :mod:`repro.faultsim.parallel`), cycle-level performance
+cells (``perf``, :mod:`repro.perf.campaign`), Row-Hammer attack sweeps
+(``hammer-sweep``, :mod:`repro.rowhammer.sweep`) and attack playbooks
+(``playbook``, :mod:`repro.rowhammer.playbook`). All four are thin
+adapters over this package and share one contract: progress callbacks
+receive :class:`CampaignProgress`, cells are stored as
+``<family>-<digest>.json`` and indexed, and worker count and store are
+keyword arguments of the run functions:
 
 - :mod:`repro.campaign.engine` — the :class:`Campaign` work-item
   contract and the store-backed executor (:func:`run_campaign`);
@@ -12,7 +16,8 @@ package:
   workers stealing whole groups from a shared queue, with heartbeat
   supervision and a bounded per-group retry budget;
 - :mod:`repro.campaign.store` — the atomic, fingerprint-verified JSON
-  :class:`ResultStore` with its append-only completion index;
+  :class:`ResultStore`, its cell naming and its append-only completion
+  index;
 - :mod:`repro.campaign.server` / :mod:`repro.campaign.client` — the
   same store served over TCP (:class:`RemoteResultStore`) plus the
   async job front door (``python -m repro serve`` / ``submit``);
@@ -40,6 +45,7 @@ from repro.campaign.store import (
     STORE_VERSION,
     ResultStore,
     atomic_write_json,
+    cell_name,
     fingerprint_digest,
     read_index,
     summarize_index,
@@ -62,6 +68,7 @@ __all__ = [
     "STORE_VERSION",
     "INDEX_NAME",
     "atomic_write_json",
+    "cell_name",
     "fingerprint_digest",
     "read_index",
     "summarize_index",

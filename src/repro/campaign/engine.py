@@ -31,10 +31,13 @@ those campaigns share, exactly once:
   completed or store-loaded item.
 
 Domain engines subclass :class:`Campaign` and stay thin: identity
-(key/fingerprint/file name), the ``run_item`` payload, and result
-(de)serialization. The campaign object is pickled to workers, so it
-should carry shared configuration only; bulky per-item inputs belong on
-the items themselves.
+(key/fingerprint), the ``run_item`` payload, and result
+(de)serialization. The core alone names the store files
+(``<family>-<digest>.json``), indexes every completed cell under the
+family's :attr:`Campaign.name`, and hands every progress callback a
+:class:`CampaignProgress`. The campaign object is pickled to workers,
+so it should carry shared configuration only; bulky per-item inputs
+belong on the items themselves.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.scheduler import run_stealing
-from repro.campaign.store import ResultStore, fingerprint_digest
+from repro.campaign.store import ResultStore, cell_name
 
 
 class Campaign:
@@ -57,12 +60,9 @@ class Campaign:
     output worker-count-invariant.
     """
 
-    #: Campaign family name, recorded in the store's append-only index.
+    #: Campaign family name: the prefix of every cell file and the
+    #: family recorded in the store's append-only index.
     name = "campaign"
-
-    #: Whether completed cells are appended to the store index. Disabled
-    #: by stores whose exact directory contents are contractual.
-    index_results = True
 
     # -- identity ----------------------------------------------------------------
 
@@ -74,10 +74,6 @@ class Campaign:
         """JSON-able stable identity recorded in the index."""
         key = getattr(item, "key", None)
         return list(key) if isinstance(key, tuple) else (key if key is not None else item.index)
-
-    def cell_name(self, item, fingerprint: dict) -> str:
-        """Store file name for the item (must be unique per campaign)."""
-        return f"{self.name}-{fingerprint_digest(fingerprint)}.json"
 
     def group_key(self, item) -> Hashable:
         """Items with equal keys run in the same worker task (one by
@@ -133,8 +129,12 @@ class _CampaignRun:
         self.fingerprints = {
             item.index: campaign.fingerprint(item) for item in self.items
         }
+        self.cell_names = {
+            index: cell_name(campaign.name, fingerprint)
+            for index, fingerprint in self.fingerprints.items()
+        }
         if store is None and store_dir:
-            store = ResultStore(store_dir, index_results=campaign.index_results)
+            store = ResultStore(store_dir)
         self.store = store
         self.progress = progress
         self.results: Dict[int, Any] = {}
@@ -170,9 +170,6 @@ class _CampaignRun:
         self.state["units_done"] += self.campaign.item_units(item)
         self.state["failures"] += self.campaign.result_failures(result)
 
-    def cell_name(self, item) -> str:
-        return self.campaign.cell_name(item, self.fingerprints[item.index])
-
     def _try_load(self, item, payload) -> Optional[Any]:
         """Deserialize a stored payload; ``None`` marks it corrupt."""
         try:
@@ -194,7 +191,7 @@ class _CampaignRun:
             payload = None
             if self.store is not None:
                 payload, reason = self.store.load(
-                    self.cell_name(item), self.fingerprints[item.index]
+                    self.cell_names[item.index], self.fingerprints[item.index]
                 )
             if reason is None:
                 result = self._try_load(item, payload)
@@ -225,7 +222,7 @@ class _CampaignRun:
         pending: List[Any] = []
         for item in inflight:
             payload, reason = self.store.load_wait(
-                self.cell_name(item), self.fingerprints[item.index]
+                self.cell_names[item.index], self.fingerprints[item.index]
             )
             result = self._try_load(item, payload) if reason is None else None
             if result is not None:
@@ -240,12 +237,11 @@ class _CampaignRun:
         """Account one computed item: store, index, progress."""
         self.account(item, result)
         if self.store is not None:
-            fingerprint = self.fingerprints[item.index]
             self.store.store(
-                self.cell_name(item),
-                fingerprint,
+                self.cell_names[item.index],
+                self.fingerprints[item.index],
                 self.campaign.serialize_result(item, result),
-                campaign=self.campaign.name if self.campaign.index_results else None,
+                campaign=self.campaign.name,
                 key=self.campaign.item_key(item),
                 failures=self.campaign.result_failures(result),
             )

@@ -1,18 +1,20 @@
 """Shared campaign progress/worker machinery.
 
-Every campaign engine in the repo — the sharded Monte-Carlo runs of
+Every campaign family in the repo — the sharded Monte-Carlo runs of
 :mod:`repro.faultsim.parallel`, the performance-cell grids of
-:mod:`repro.perf.campaign`, and the Row-Hammer attack sweeps of
-:mod:`repro.rowhammer.sweep` — reports progress the same way: a snapshot
-object handed to a user callback after every completed work item, with a
-rate, an ETA, a completed fraction, and a one-line ``describe()``. The
-*math* for all of that lives here exactly once (:class:`ProgressBase`);
-the domain modules only declare their field *names* (``shards_done`` vs
-``cells_done``) as thin dataclass subclasses, so a refactor of the
-accounting cannot drift between engines.
+:mod:`repro.perf.campaign`, the Row-Hammer attack sweeps of
+:mod:`repro.rowhammer.sweep` and the attack playbooks of
+:mod:`repro.rowhammer.playbook` — reports progress the same way: one
+:class:`CampaignProgress` snapshot handed to the caller's callback after
+every completed or store-loaded work item, with a rate, an ETA, a
+completed fraction, and a one-line ``describe()``. Items are the
+family's cells (shards, perf cells, sweep points); units are the finer
+measure the rate is quoted in (modules for a Monte-Carlo shard, one per
+item elsewhere). The rate/ETA math lives in :class:`ProgressBase`,
+shared with the campaign server's live counters.
 
-Worker-count resolution is likewise shared: explicit argument > config
-field > ``REPRO_WORKERS`` > 1.
+Worker-count resolution is likewise shared: the run function's
+``workers`` argument > ``REPRO_WORKERS`` > 1.
 """
 
 from __future__ import annotations
@@ -28,19 +30,14 @@ from repro.switches import env_workers
 
 #: Every campaign's progress callback receives one snapshot per
 #: completed (or store-loaded) work item.
-ProgressCallback = Callable[["ProgressBase"], None]
+ProgressCallback = Callable[["CampaignProgress"], None]
 
 
-def resolve_workers(
-    workers: Optional[int] = None,
-    config_workers: Optional[int] = None,
-    strict: bool = False,
-) -> int:
+def resolve_workers(workers: Optional[int] = None, *, strict: bool = False) -> int:
     """Resolve a worker count with the repo-wide precedence.
 
-    Explicit argument > ``config_workers`` > ``REPRO_WORKERS`` > 1
-    (in-process, no pool); a malformed ``REPRO_WORKERS`` raises a
-    ``ValueError`` that names it.
+    Explicit argument > ``REPRO_WORKERS`` > 1 (in-process, no pool); a
+    malformed ``REPRO_WORKERS`` raises a ``ValueError`` that names it.
 
     Counts above ``os.cpu_count()`` are clamped with a one-line warning:
     every campaign worker is CPU-bound, so oversubscription only adds
@@ -48,8 +45,6 @@ def resolve_workers(
     host at ~4x *slower* than sequential). Pass ``strict=True`` to keep
     the requested count anyway (e.g. to measure that penalty).
     """
-    if workers is None:
-        workers = config_workers
     if workers is None:
         workers = env_workers()
     workers = 1 if workers is None else int(workers)
@@ -76,7 +71,7 @@ _LOCK_GUARD = threading.Lock()
 class ProgressBase:
     """Rate/ETA/fraction accounting over generic progress attributes.
 
-    Subclasses provide (as dataclass fields or alias properties):
+    Subclasses provide (as dataclass fields):
 
     - ``items_done`` / ``items_total`` — completed vs. planned work items
       (shards, cells, sweep points);
@@ -90,8 +85,8 @@ class ProgressBase:
       present but unusable (unparseable vs. fingerprint/version
       mismatch), i.e. *why* a resume recomputed work.
 
-    Class knobs tune the ``describe()`` line per domain: the item noun,
-    the rate noun, and the rate's format spec.
+    Class knobs tune the ``describe()`` line: the item noun, the rate
+    noun, and the rate's format spec; ``_trailer`` supplies its tail.
     """
 
     ITEM_NOUN = "item"
@@ -158,10 +153,6 @@ class ProgressBase:
     def fraction_done(self) -> float:
         return self.units_done / self.units_total if self.units_total else 1.0
 
-    def _trailer(self) -> str:
-        """Domain-specific tail of the describe line."""
-        return f"cached {self.items_from_store}"
-
     def describe(self) -> str:
         """One-line human summary (used by CLI/script progress printers)."""
         rate_noun = self.RATE_NOUN or f"{self.ITEM_NOUN}s"
@@ -183,11 +174,10 @@ class ProgressBase:
 
 @dataclass
 class CampaignProgress(ProgressBase):
-    """The generic snapshot the core engine emits.
+    """The one snapshot every campaign family's progress callback gets.
 
-    Domain adapters translate it into their own field vocabulary before
-    invoking user callbacks; campaigns without legacy vocabulary (the
-    Row-Hammer sweep) hand it to callers as-is.
+    ``failures`` sums the family's failure events over the items done
+    (Monte-Carlo failure records, silent corruptions of a sweep point).
     """
 
     items_done: int = 0
@@ -199,3 +189,9 @@ class CampaignProgress(ProgressBase):
     elapsed_s: float = 0.0
     rejected_corrupt: int = 0
     rejected_stale: int = 0
+
+    RATE_NOUN = "units"
+    RATE_FMT = ",.2f"
+
+    def _trailer(self) -> str:
+        return f"cached {self.items_from_store} failures {self.failures}"

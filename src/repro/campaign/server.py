@@ -37,13 +37,12 @@ Start one with ``python -m repro serve --store-dir DIR`` or embed a
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
-from repro.campaign.progress import ProgressBase, resolve_workers
+from repro.campaign.progress import CampaignProgress, ProgressBase
 from repro.campaign.store import ResultStore, summarize_index
 from repro.campaign.wire import (
     DEFAULT_PORT,
@@ -99,8 +98,8 @@ class ServerActivity(ProgressBase):
         )
 
 
-def _progress_payload(snap) -> Dict[str, Any]:
-    """Any campaign family's progress snapshot -> one wire-safe dict."""
+def _progress_payload(snap: CampaignProgress) -> Dict[str, Any]:
+    """A campaign progress snapshot -> one wire-safe dict."""
     return {
         "items_done": int(snap.items_done),
         "items_total": int(snap.items_total),
@@ -119,6 +118,12 @@ def _progress_payload(snap) -> Dict[str, Any]:
 # them. Signature: (server, params, progress_callback) -> JSON results.
 
 
+def _job_workers(server: "CampaignServer", params: dict) -> Optional[int]:
+    """The job's own worker count, else the server's ``--workers``."""
+    workers = params.get("workers")
+    return server.workers if workers is None else workers
+
+
 def _job_hammer_sweep(server: "CampaignServer", params: dict, progress):
     from repro.rowhammer import sweep
 
@@ -130,7 +135,7 @@ def _job_hammer_sweep(server: "CampaignServer", params: dict, progress):
     )
     outcomes = sweep.run_sweep(
         cells,
-        workers=resolve_workers(params.get("workers"), config_workers=server.workers),
+        workers=_job_workers(server, params),
         cache_dir=server.store_dir,
         progress=progress,
     )
@@ -160,7 +165,7 @@ def _job_perf(server: "CampaignServer", params: dict, progress):
         [org],
         workloads=params.get("workloads"),
         config=config,
-        workers=resolve_workers(params.get("workers"), config_workers=server.workers),
+        workers=_job_workers(server, params),
         cache_dir=server.store_dir,
         progress=progress,
     )
@@ -181,24 +186,18 @@ def _job_faultsim(server: "CampaignServer", params: dict, progress):
     from repro.faultsim.parallel import simulate_parallel
 
     scheme = params.get("scheme", "safeguard-secded")
-    seed = int(params.get("seed", 42))
     config = MonteCarloConfig(
         n_modules=int(params.get("n_modules", 2000)),
-        seed=seed,
+        seed=int(params.get("seed", 42)),
         engine=params.get("engine"),
     )
     geometry = X8_SECDED_16GB
-    # Checkpoints keep their one-file-per-shard directory contract, so
-    # each faultsim job gets a subdirectory, not the shared cell space.
-    checkpoint_dir = os.path.join(
-        server.store_dir, f"faultsim-{scheme}-{config.n_modules}-{seed}"
-    )
     result = simulate_parallel(
         evaluator_for(scheme, geometry),
         geometry,
         config,
-        workers=resolve_workers(params.get("workers"), config_workers=server.workers),
-        checkpoint_dir=checkpoint_dir,
+        workers=_job_workers(server, params),
+        checkpoint_dir=server.store_dir,
         progress=progress,
     )
     return {

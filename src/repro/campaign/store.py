@@ -19,9 +19,11 @@ The distinction flows into the engine's progress snapshots
 (``rejected_corrupt`` / ``rejected_stale``), so an operator can tell a
 damaged store from a re-scoped campaign at a glance.
 
-Completed cells are additionally recorded in an append-only index file
-(``campaign-index.jsonl``, one JSON object per line) naming the
-campaign, the item key, and the cell file. The index is observational:
+Every campaign family names its cells the same way,
+``<family>-<digest>.json`` (:func:`cell_name`), so families cohabit one
+directory. Completed cells are additionally recorded in an append-only
+index file (``campaign-index.jsonl``, one JSON object per line) naming
+the campaign, the item key, and the cell file. The index is observational:
 loads never consult it (the fingerprint inside each cell is the source
 of truth), but ``python -m repro campaign-status DIR`` can summarize a
 store — per-campaign completion counts — without recomputing a single
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from typing import Any, Dict, List, Optional, Tuple
@@ -75,17 +78,16 @@ def fingerprint_digest(fingerprint: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def cell_name(family: str, fingerprint: dict) -> str:
+    """Store file name of one cell: ``<family>-<digest>.json``."""
+    return f"{family}-{fingerprint_digest(fingerprint)}.json"
+
+
 class ResultStore:
-    """Fingerprint-verified JSON cells plus the append-only index.
+    """Fingerprint-verified JSON cells plus the append-only index."""
 
-    ``index_results=False`` disables the index for stores whose exact
-    directory contents are part of their contract (the Monte-Carlo
-    engine's checkpoint directories hold exactly one file per shard).
-    """
-
-    def __init__(self, directory: str, index_results: bool = True):
+    def __init__(self, directory: str):
         self.directory = directory
-        self.index_results = index_results
 
     def path(self, cell_name: str) -> str:
         return os.path.join(self.directory, cell_name)
@@ -138,7 +140,7 @@ class ResultStore:
             "result": result,
         }
         atomic_write_json(self.path(cell_name), payload)
-        if self.index_results and campaign is not None:
+        if campaign is not None:
             entry = {
                 "campaign": campaign,
                 "key": key,
@@ -152,11 +154,24 @@ class ResultStore:
                 handle.write(line + "\n")
 
 
+def _valid_entry(entry: Any) -> bool:
+    """An index entry whose fields have the types the summary reads."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("campaign"), str):
+        return False
+    cell = entry.get("cell")
+    failures = entry.get("failures", 0)
+    return (cell is None or isinstance(cell, str)) and (
+        isinstance(failures, (int, float)) and math.isfinite(failures)
+    )
+
+
 def read_index(directory: str) -> List[dict]:
     """Parse the append-only index; malformed lines are skipped.
 
-    (A torn line can only exist if the host crashed mid-append; the
-    cells themselves are still verified by fingerprint on load.)
+    A line is malformed when it is not JSON (a torn append: the host
+    crashed mid-write) or when a field has the wrong type (a hand-edited
+    line). Either way the cells themselves are still verified by
+    fingerprint on load.
     """
     path = os.path.join(directory, INDEX_NAME)
     entries: List[dict] = []
@@ -170,7 +185,7 @@ def read_index(directory: str) -> List[dict]:
                     entry = json.loads(line)
                 except ValueError:
                     continue
-                if isinstance(entry, dict) and "campaign" in entry:
+                if _valid_entry(entry):
                     entries.append(entry)
     except OSError:
         return []
@@ -191,19 +206,16 @@ def summarize_index(directory: str) -> Dict[str, Dict[str, int]]:
     """
     summary: Dict[str, Dict[str, Any]] = {}
     for entry in read_index(directory):
-        name = str(entry["campaign"])
         bucket = summary.setdefault(
-            name, {"keys": set(), "cells": set(), "entries": 0, "fail_by_cell": {}}
+            entry["campaign"],
+            {"keys": set(), "cells": set(), "entries": 0, "fail_by_cell": {}},
         )
         bucket["entries"] += 1
         bucket["keys"].add(json.dumps(entry.get("key"), sort_keys=True))
         cell = entry.get("cell")
         if cell:
             bucket["cells"].add(cell)
-            failures = entry.get("failures")
-            bucket["fail_by_cell"][cell] = (
-                int(failures) if isinstance(failures, (int, float)) else 0
-            )
+            bucket["fail_by_cell"][cell] = int(entry.get("failures", 0))
     return {
         name: {
             "completed": len(bucket["keys"]),

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.campaign import ProgressCallback
 from repro.experiments.reporting import format_table, print_banner
 from repro.faultsim.evaluators import evaluator_for
 from repro.faultsim.geometry import X4_CHIPKILL_16GB
 from repro.faultsim.montecarlo import MonteCarloConfig, ReliabilityResult
-from repro.faultsim.parallel import ProgressCallback, simulate_parallel
+from repro.faultsim.parallel import simulate_parallel
 
 
 #: The organizations Figure 10 compares, by registry scheme name.
@@ -42,12 +43,15 @@ def run(
             n_modules=n_modules,
             seed=seed,
             fit_multiplier=multiplier,
-            workers=workers,
             engine=engine,
         )
         out[multiplier] = [
             simulate_parallel(
-                evaluator_for(name, geometry), geometry, config, progress=progress
+                evaluator_for(name, geometry),
+                geometry,
+                config,
+                workers=workers,
+                progress=progress,
             )
             for name in schemes
         ]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.campaign import ProgressCallback
 from repro.experiments.reporting import format_table, print_banner
 from repro.faultsim.evaluators import evaluator_for
 from repro.faultsim.geometry import X8_SECDED_16GB
 from repro.faultsim.montecarlo import MonteCarloConfig, ReliabilityResult
-from repro.faultsim.parallel import ProgressCallback, simulate_parallel
+from repro.faultsim.parallel import simulate_parallel
 
 
 #: The organizations Figure 6 compares, by registry scheme name.
@@ -40,14 +41,17 @@ def run(
     through a ready store object (e.g. a networked
     :class:`repro.campaign.RemoteResultStore`).
     """
-    config = MonteCarloConfig(
-        n_modules=n_modules, seed=seed, workers=workers, engine=engine
-    )
+    config = MonteCarloConfig(n_modules=n_modules, seed=seed, engine=engine)
     geometry = X8_SECDED_16GB
     evaluators = [evaluator_for(name, geometry) for name in schemes]
     return [
         simulate_parallel(
-            evaluator, geometry, config, store=store, progress=progress
+            evaluator,
+            geometry,
+            config,
+            workers=workers,
+            store=store,
+            progress=progress,
         )
         for evaluator in evaluators
     ]

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.campaign import ProgressCallback
 from repro.experiments.reporting import format_table, print_banner
-from repro.perf.campaign import ProgressCallback, run_comparison_parallel
+from repro.perf.campaign import run_comparison_parallel
 from repro.perf.model import (
     PerfConfig,
     WorkloadResult,

@@ -32,7 +32,7 @@ from repro.experiments import (
     table5_storage,
 )
 from repro import switches
-from repro.campaign import ProgressBase
+from repro.campaign import CampaignProgress
 from repro.core import registry
 from repro.perf.model import PerfConfig
 from repro.rowhammer import sweep as hammer_sweep
@@ -64,13 +64,9 @@ class _open_store:
             self.store.close()
 
 
-def _print_progress(stats: ProgressBase) -> None:
-    """Carriage-return progress line for interactive parallel runs.
-
-    Works for every campaign family: the shared :class:`ProgressBase`
-    interface (``items_done`` / ``items_total`` / ``describe``) is all it
-    needs, whatever the domain calls its fields.
-    """
+def _print_progress(stats: CampaignProgress) -> None:
+    """Carriage-return progress line for interactive parallel runs of
+    any campaign family."""
     end = "\n" if stats.items_done == stats.items_total else "\r"
     print(f"  {stats.describe()}", end=end, file=sys.stderr, flush=True)
 

@@ -43,12 +43,7 @@ from repro.faultsim.montecarlo import (
     merge_results,
     simulate,
 )
-from repro.faultsim.parallel import (
-    ProgressStats,
-    Shard,
-    plan_shards,
-    simulate_parallel,
-)
+from repro.faultsim.parallel import Shard, plan_shards, simulate_parallel
 from repro.faultsim.fastpath import simulate_range_fast
 
 __all__ = [
@@ -74,7 +69,6 @@ __all__ = [
     "simulate",
     "simulate_parallel",
     "plan_shards",
-    "ProgressStats",
     "Shard",
     "simulate_range_fast",
 ]

@@ -67,22 +67,13 @@ class MonteCarloConfig:
     modes: Sequence[FaultMode] = field(default_factory=lambda: list(FAULT_MODES))
     #: Evaluation grid resolution in months.
     grid_months: int = 6
-    #: Worker processes for :func:`repro.faultsim.parallel.simulate_parallel`.
-    #: None defers to the ``REPRO_WORKERS`` environment variable (and
-    #: finally to 1 = in-process). Never changes the science output.
-    workers: Optional[int] = None
-    #: Shard count for the parallel engine; None picks a multiple of the
-    #: worker count. Never changes the science output.
-    shards: Optional[int] = None
-    #: Directory for per-shard checkpoint files; None disables
-    #: checkpointing. A re-run with the same config resumes, skipping
-    #: shards whose checkpoints verify.
-    checkpoint_dir: Optional[str] = None
     #: Monte-Carlo engine: ``"reference"`` (the scalar loop) or
     #: ``"fast"`` (the vectorized single-fault path of
     #: :mod:`repro.faultsim.fastpath`). None defers to the process-wide
     #: ``faultsim`` switch (``REPRO_FAULTSIM``, default ``"reference"``).
-    #: Unlike workers/shards this *does* change the science output
+    #: Unlike the execution arguments of
+    #: :func:`repro.faultsim.parallel.simulate_parallel` (workers,
+    #: shards, checkpoint directory) this *does* change the science output
     #: (statistically equivalent, not bit-identical), so it is part of
     #: the fingerprint.
     engine: Optional[str] = None

@@ -10,17 +10,23 @@ the sequential loop would have, and merging the shard results
 (:meth:`ReliabilityResult.merge`) reproduces :func:`simulate`
 **bit-for-bit** — worker count and shard count never change the science.
 
-Robustness and observability (all supplied by the shared core):
+Robustness and observability (all supplied by the shared core, under
+the campaign family name ``faultsim``):
 
-- ``checkpoint_dir`` writes one fingerprint-verified JSON file per
-  completed shard through the unified :class:`repro.campaign.ResultStore`;
-  a killed run restarted with the same config loads verified checkpoints
-  and only recomputes the missing (or corrupted / stale) shards.
-- ``progress`` receives a :class:`ProgressStats` snapshot after every
-  shard completes (modules/sec, ETA, failures so far, and — when a
-  resume rejected checkpoints — why: corrupt vs. stale).
+- ``checkpoint_dir`` writes one fingerprint-verified cell per completed
+  shard (``faultsim-<digest>.json``) through the unified
+  :class:`repro.campaign.ResultStore` and lists it in the store's index,
+  so ``python -m repro campaign-status DIR`` sees the run; a killed run
+  restarted with the same config loads verified checkpoints and only
+  recomputes the missing (or corrupted / stale) shards. Runs of
+  different schemes or configs share one directory safely.
+- ``progress`` receives a :class:`repro.campaign.CampaignProgress`
+  snapshot after every shard completes: items are shards, units are
+  modules (so the rate is modules/s), ``failures`` counts failure
+  records, and ``rejected_corrupt``/``rejected_stale`` say why a resume
+  recomputed a shard.
 
-Worker-count resolution order: explicit argument > ``config.workers`` >
+Worker-count resolution order: the ``workers`` argument >
 ``REPRO_WORKERS`` > 1 (in-process).
 
 The engine (scalar reference loop vs. the vectorized fast path of
@@ -32,19 +38,16 @@ resume never mixes modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.campaign import (
     Campaign,
-    CampaignProgress,
-    ProgressBase,
-    fingerprint_digest,
+    ProgressCallback,
     resolve_workers,
     run_campaign,
 )
-from repro.campaign.store import STORE_VERSION
 from repro.faultsim import fastpath
 from repro.faultsim.geometry import ModuleGeometry
 from repro.faultsim.montecarlo import (
@@ -56,11 +59,6 @@ from repro.faultsim.montecarlo import (
     scheme_name,
     simulate_range,
 )
-
-#: Checkpoint schema version (the unified store's cell version).
-CHECKPOINT_VERSION = STORE_VERSION
-
-ProgressCallback = Callable[["ProgressStats"], None]
 
 
 @dataclass(frozen=True)
@@ -74,39 +72,6 @@ class Shard:
     @property
     def n_modules(self) -> int:
         return self.hi - self.lo
-
-
-@dataclass
-class ProgressStats(ProgressBase):
-    """Snapshot handed to the progress callback after each shard.
-
-    A thin naming layer over :class:`repro.campaign.ProgressBase`: the
-    rate/ETA/fraction accounting lives in the core, shared with every
-    other campaign engine.
-    """
-
-    shards_done: int
-    shards_total: int
-    shards_from_checkpoint: int
-    modules_done: int
-    modules_total: int
-    failures_so_far: int
-    elapsed_s: float
-    rejected_corrupt: int = 0
-    rejected_stale: int = 0
-
-    ITEM_NOUN = "shard"
-    RATE_NOUN = "modules"
-
-    items_done = property(lambda self: self.shards_done)
-    items_total = property(lambda self: self.shards_total)
-    items_from_store = property(lambda self: self.shards_from_checkpoint)
-    units_done = property(lambda self: self.modules_done)
-    units_total = property(lambda self: self.modules_total)
-    modules_per_sec = property(lambda self: self.rate)
-
-    def _trailer(self) -> str:
-        return f"failures {self.failures_so_far}"
 
 
 def plan_shards(n_modules: int, n_shards: int) -> List[Shard]:
@@ -149,20 +114,9 @@ class _ShardItem:
 
 
 class _FaultSimCampaign(Campaign):
-    """Monte-Carlo reliability as a :class:`repro.campaign.Campaign`.
-
-    Checkpoint directories keep their historical contract — exactly one
-    ``shard-NNNNN.json`` per shard and nothing else — so the store's
-    index is disabled; checkpoints are per-run scratch, not a shared
-    result cache. ``shared_store=True`` (a store *object* was supplied,
-    e.g. a networked :class:`repro.campaign.RemoteResultStore`) flips
-    both decisions: cells get digest-based names so different runs'
-    shards can coexist in one shared namespace, and completions are
-    indexed so ``campaign-status`` sees the family.
-    """
+    """Monte-Carlo reliability as a :class:`repro.campaign.Campaign`."""
 
     name = "faultsim"
-    index_results = False
 
     def __init__(
         self,
@@ -171,16 +125,12 @@ class _FaultSimCampaign(Campaign):
         config: MonteCarloConfig,
         engine: str,
         base_fingerprint: dict,
-        shared_store: bool = False,
     ):
         self.evaluator = evaluator
         self.geometry = geometry
         self.config = config
         self.engine = engine
         self.base_fingerprint = base_fingerprint
-        self.shared_store = shared_store
-        if shared_store:
-            self.index_results = True
 
     def fingerprint(self, item: _ShardItem) -> dict:
         shard = item.shard
@@ -188,11 +138,6 @@ class _FaultSimCampaign(Campaign):
             **self.base_fingerprint,
             "shard": {"index": shard.index, "lo": shard.lo, "hi": shard.hi},
         }
-
-    def cell_name(self, item: _ShardItem, fingerprint: dict) -> str:
-        if self.shared_store:
-            return f"faultsim-{fingerprint_digest(fingerprint)}.json"
-        return f"shard-{item.index:05d}.json"
 
     def run_item(self, item: _ShardItem) -> List[FailureRecord]:
         # ``engine`` was resolved once by the coordinator and travels
@@ -238,25 +183,20 @@ def simulate_parallel(
 ) -> ReliabilityResult:
     """Sharded equivalent of :func:`simulate`; identical output.
 
-    Keyword overrides take precedence over the corresponding
-    ``MonteCarloConfig`` fields. With ``workers == 1`` the shards run
-    in-process (no pool), which still exercises checkpointing and
-    progress reporting. ``store`` accepts a ready store object (e.g. a
-    networked :class:`repro.campaign.RemoteResultStore`); it takes
-    precedence over ``checkpoint_dir`` and switches the campaign to
-    digest-based cell names so shards from different runs share one
-    namespace safely.
+    ``workers`` and ``shards`` change how the run executes, never its
+    result; ``shards=None`` picks four per worker. With ``workers == 1``
+    the shards run in-process (no pool), which still exercises
+    checkpointing and progress reporting. ``store`` accepts a ready
+    store object (e.g. a networked
+    :class:`repro.campaign.RemoteResultStore`) and takes precedence over
+    ``checkpoint_dir``.
     """
     config = config or MonteCarloConfig()
-    workers = resolve_workers(workers, config.workers)
-    if shards is None:
-        shards = config.shards
+    workers = resolve_workers(workers)
     if shards is None:
         # A few shards per worker keeps the pool busy through stragglers
         # and gives checkpoint/progress useful granularity.
         shards = workers * 4 if workers > 1 else 1
-    if checkpoint_dir is None:
-        checkpoint_dir = config.checkpoint_dir
 
     scheme = scheme_name(evaluator)
     engine = config.resolved_engine()
@@ -264,32 +204,10 @@ def simulate_parallel(
     plan = plan_shards(config.n_modules, shards)
     fault_counts = draw_fault_counts(config, geometry)
 
-    campaign = _FaultSimCampaign(
-        evaluator,
-        geometry,
-        config,
-        engine,
-        fingerprint,
-        shared_store=store is not None,
-    )
+    campaign = _FaultSimCampaign(evaluator, geometry, config, engine, fingerprint)
     items = [
         _ShardItem(shard, fault_counts[shard.lo : shard.hi]) for shard in plan
     ]
-
-    def translate(snap: CampaignProgress) -> None:
-        progress(
-            ProgressStats(
-                shards_done=snap.items_done,
-                shards_total=snap.items_total,
-                shards_from_checkpoint=snap.items_from_store,
-                modules_done=snap.units_done,
-                modules_total=snap.units_total,
-                failures_so_far=snap.failures,
-                elapsed_s=snap.elapsed_s,
-                rejected_corrupt=snap.rejected_corrupt,
-                rejected_stale=snap.rejected_stale,
-            )
-        )
 
     shard_records = run_campaign(
         campaign,
@@ -297,7 +215,7 @@ def simulate_parallel(
         workers=workers,
         store_dir=checkpoint_dir,
         store=store,
-        progress=translate if progress is not None else None,
+        progress=progress,
     )
 
     parts = [

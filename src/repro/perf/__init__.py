@@ -16,7 +16,6 @@ from repro.perf.organizations import (
 from repro.perf.model import PerfConfig, WorkloadResult, run_workload, run_comparison
 from repro.perf.campaign import (
     CampaignCell,
-    ProgressStats,
     run_cells,
     run_comparison_parallel,
     run_comparison_multiseed_parallel,
@@ -34,7 +33,6 @@ __all__ = [
     "run_workload",
     "run_comparison",
     "CampaignCell",
-    "ProgressStats",
     "run_cells",
     "run_comparison_parallel",
     "run_comparison_multiseed_parallel",

@@ -11,39 +11,38 @@ sequential loop of :func:`repro.perf.model.run_comparison`
 performance-campaign sibling of :mod:`repro.faultsim.parallel`; both
 are thin adapters over the same executor, store, and progress core.
 
-Robustness and observability (all supplied by the shared core):
+Robustness and observability (all supplied by the shared core, under
+the campaign family name ``perf``):
 
-- ``cache_dir`` persists one JSON file per completed cell through the
-  unified :class:`repro.campaign.ResultStore`, keyed by a *science
-  fingerprint* (workload profile, organization, scale knobs, and every
-  code-level constant that determines the cycle counts). A killed or
-  re-scoped campaign reloads verified cells and recomputes only the
-  missing (or corrupted / stale) ones; completed cells are also listed
-  in the store's append-only index (``python -m repro campaign-status``).
-- ``progress`` receives a :class:`ProgressStats` snapshot after every
-  cell completes (cells/sec, ETA, cache hits so far, and — when cells
-  were rejected — why: corrupt vs. stale).
+- ``cache_dir`` persists one JSON file per completed cell
+  (``perf-<digest>.json``) through the unified
+  :class:`repro.campaign.ResultStore`, keyed by a *science fingerprint*
+  (workload profile, organization, scale knobs, and every code-level
+  constant that determines the cycle counts). A killed or re-scoped
+  campaign reloads verified cells and recomputes only the missing (or
+  corrupted / stale) ones; completed cells are also listed in the
+  store's append-only index (``python -m repro campaign-status``).
+- ``progress`` receives a :class:`repro.campaign.CampaignProgress`
+  snapshot after every cell completes (items and units are both cells:
+  cells/sec, ETA, cache hits so far, and — when cells were rejected —
+  why: corrupt vs. stale).
 
-Worker-count resolution order: explicit argument > ``config.workers`` >
+Worker-count resolution order: the ``workers`` argument >
 ``REPRO_WORKERS`` > 1 (in-process).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign import (
     Campaign,
-    CampaignProgress,
-    ProgressBase,
-    fingerprint_digest,
+    ProgressCallback,
     resolve_workers,
     run_campaign,
 )
-from repro.campaign.store import STORE_VERSION
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import StreamPrefetcher
 from repro.cpu.core import CoreConfig
@@ -63,17 +62,12 @@ from repro.perf.model import (
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization
 from repro.switches import PERF
 
-#: Cell-cache schema version (the unified store's cell version).
-CACHE_VERSION = STORE_VERSION
-
 #: Bumped whenever the cycle-level model's *behaviour* changes (new
 #: timing constraint, bug fix, different warmup discipline, ...). It
 #: invalidates every cached cell, which is exactly what a science change
 #: requires; the constants below catch configuration drift between runs
 #: of one model version.
 MODEL_VERSION = 3
-
-ProgressCallback = Callable[["ProgressStats"], None]
 
 
 @dataclass(frozen=True)
@@ -89,34 +83,6 @@ class CampaignCell:
     def key(self) -> Tuple[str, str, int]:
         """Identity within one campaign (workload, org name, seed)."""
         return (self.workload, self.organization.name, self.seed)
-
-
-@dataclass
-class ProgressStats(ProgressBase):
-    """Snapshot handed to the progress callback after each cell.
-
-    A thin naming layer over :class:`repro.campaign.ProgressBase`: the
-    rate/ETA/fraction accounting lives in the core, shared with every
-    other campaign engine.
-    """
-
-    cells_done: int
-    cells_total: int
-    cells_from_cache: int
-    elapsed_s: float
-    rejected_corrupt: int = 0
-    rejected_stale: int = 0
-
-    ITEM_NOUN = "cell"
-    RATE_NOUN = "cells"
-    RATE_FMT = ".2f"
-
-    items_done = property(lambda self: self.cells_done)
-    items_total = property(lambda self: self.cells_total)
-    items_from_store = property(lambda self: self.cells_from_cache)
-    units_done = property(lambda self: self.cells_done)
-    units_total = property(lambda self: self.cells_total)
-    cells_per_sec = property(lambda self: self.rate)
 
 
 # -- science fingerprint ---------------------------------------------------------
@@ -178,14 +144,6 @@ def cell_fingerprint(cell: CampaignCell, config: PerfConfig) -> dict:
     }
 
 
-def _cell_name(fingerprint: dict) -> str:
-    return f"cell-{fingerprint_digest(fingerprint)}.json"
-
-
-def _cache_path(cache_dir: str, fingerprint: dict) -> str:
-    return os.path.join(cache_dir, _cell_name(fingerprint))
-
-
 # -- the campaign adapter --------------------------------------------------------
 
 
@@ -228,9 +186,6 @@ class _PerfCampaign(Campaign):
     def fingerprint(self, cell: CampaignCell) -> dict:
         return cell_fingerprint(cell, self.config)
 
-    def cell_name(self, cell: CampaignCell, fingerprint: dict) -> str:
-        return _cell_name(fingerprint)
-
     def group_key(self, cell: CampaignCell):
         return (cell.workload, cell.seed)
 
@@ -268,29 +223,14 @@ def run_cells(
     # in-process path, and every pool worker then agree on it even if the
     # process-wide mode changes mid-campaign (or differs in a worker).
     config = dataclasses.replace(config, engine=PERF.resolve(config.engine))
-    workers = resolve_workers(workers, config.workers)
-    if cache_dir is None:
-        cache_dir = config.cache_dir
-
-    def translate(snap: CampaignProgress) -> None:
-        progress(
-            ProgressStats(
-                cells_done=snap.items_done,
-                cells_total=snap.items_total,
-                cells_from_cache=snap.items_from_store,
-                elapsed_s=snap.elapsed_s,
-                rejected_corrupt=snap.rejected_corrupt,
-                rejected_stale=snap.rejected_stale,
-            )
-        )
-
+    workers = resolve_workers(workers)
     results = run_campaign(
         _PerfCampaign(config),
         cells,
         workers=workers,
         store_dir=cache_dir,
         store=store,
-        progress=translate if progress is not None else None,
+        progress=progress,
     )
     return {cell.key: results[cell.index] for cell in cells}
 

@@ -38,11 +38,6 @@ class PerfConfig:
     #: Science-relevant — the engines are statistically equivalent but
     #: not bit-identical — so it is part of the campaign fingerprint.
     engine: Optional[str] = None
-    #: Execution knobs for the campaign engine (repro.perf.campaign).
-    #: Not part of the science fingerprint: they change how fast a
-    #: campaign runs, never what it computes.
-    workers: Optional[int] = None
-    cache_dir: Optional[str] = None
 
 
 @dataclass

@@ -24,8 +24,7 @@ CLI::
     python -m repro hammer-sweep --workers 4 --cache-dir .sweep
     python -m repro campaign-status .sweep
 
-Worker-count resolution: explicit argument > ``REPRO_WORKERS`` > 1 (the
-sweep has no engine-specific variable; it is born on the generic one).
+Worker-count resolution: the ``workers`` argument > ``REPRO_WORKERS`` > 1.
 """
 
 from __future__ import annotations
@@ -322,12 +321,13 @@ def run_sweep(
     """Run every sweep point; results keyed by :attr:`SweepCell.key`.
 
     Bit-identical for any worker count; with a ``cache_dir`` a killed
-    sweep resumes from its verified points. ``store`` accepts a ready
-    store object (e.g. a :class:`repro.campaign.RemoteResultStore`, so
-    concurrent sweeps share points) and takes precedence over
-    ``cache_dir``. The progress callback receives the core's
-    :class:`CampaignProgress` directly — the sweep has no legacy field
-    vocabulary to translate into.
+    sweep resumes from its verified points, stored as
+    ``hammer-sweep-<digest>.json`` and listed in the store's index.
+    ``store`` accepts a ready store object (e.g. a
+    :class:`repro.campaign.RemoteResultStore`, so concurrent sweeps
+    share points) and takes precedence over ``cache_dir``. The progress
+    callback receives a :class:`repro.campaign.CampaignProgress` per
+    point, like every other campaign family's.
     """
     config = config or SweepConfig()
     workers = resolve_workers(workers)

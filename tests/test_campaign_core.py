@@ -1,15 +1,17 @@
 """Cross-domain tests of the generic campaign core (repro.campaign).
 
 The domain suites (test_montecarlo_parallel, test_perf_campaign,
-test_hammer_sweep) pin each adapter's behavior; this suite pins the
-shared machinery itself — worker resolution precedence, the
-fingerprint-verified store and its rejection taxonomy, the append-only
-index, atomic writes under racing writers, crash retry, and the
-progress protocol — once, for every campaign family at a time.
+test_hammer_sweep, test_playbook) pin each adapter's behavior; this
+suite pins the shared machinery itself — worker resolution precedence,
+the fingerprint-verified store and its rejection taxonomy, the
+append-only index, atomic writes under racing writers, crash retry, and
+the progress protocol — once, for every campaign family at a time, plus
+the one contract all four adapters share (:class:`TestAdapterContract`).
 """
 
 import json
 import os
+import re
 import threading
 import warnings
 
@@ -49,16 +51,12 @@ class TestResolveWorkers:
 
     def test_explicit_beats_everything(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "8")
-        assert resolve_workers(3, 4) == 3
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "8")
-        assert resolve_workers(None, 4) == 4
+        assert resolve_workers(3) == 3
 
     def test_generic_env_is_the_last_fallback(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "8")
         assert resolve_workers() == 8
-        assert resolve_workers(None, None) == 8
+        assert resolve_workers(None) == 8
 
     def test_blank_env_values_are_ignored(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "  ")
@@ -69,16 +67,15 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             resolve_workers(0)
         with pytest.raises(ValueError):
-            resolve_workers(None, -2)
+            resolve_workers(-2)
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
     def test_malformed_env_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv(WORKERS_ENV, raw)
         with pytest.raises(ValueError, match=f"{WORKERS_ENV}='{raw}'"):
             resolve_workers()
-        # An explicit or config count never consults the variable.
+        # An explicit count never consults the variable.
         assert resolve_workers(2) == 2
-        assert resolve_workers(None, 3) == 3
 
 
 class TestResolveWorkersClamp:
@@ -302,14 +299,30 @@ class TestIndex:
         assert summary["alpha"]["failures"] == 2
         assert summary["alpha"]["cells"] == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"campaign": "perf", "key": [1], "cell": "c1", "failures": NaN}',
+            '{"campaign": "perf", "key": [1], "cell": "c1", "failures": Infinity}',
+            '{"campaign": "perf", "key": [1], "cell": ["c1"], "failures": 0}',
+            '{"campaign": ["perf"], "key": [1], "cell": "c1", "failures": 0}',
+        ],
+        ids=["failures-nan", "failures-inf", "cell-list", "campaign-list"],
+    )
+    def test_wrong_typed_entries_are_skipped(self, tmp_path, line):
+        """Valid JSON with a wrong-typed field is skipped like a torn line."""
+        store = ResultStore(str(tmp_path))
+        store.store("a.json", FP, 1, campaign="alpha", key=["a"], failures=2)
+        with open(tmp_path / INDEX_NAME, "a") as handle:
+            handle.write(line + "\n")
+        assert len(read_index(str(tmp_path))) == 1
+        assert summarize_index(str(tmp_path)) == {
+            "alpha": {"completed": 1, "cells": 1, "entries": 1, "failures": 2}
+        }
+
     def test_missing_index(self, tmp_path):
         assert read_index(str(tmp_path)) == []
         assert summarize_index(str(tmp_path)) == {}
-
-    def test_index_disabled(self, tmp_path):
-        store = ResultStore(str(tmp_path), index_results=False)
-        store.store("a.json", FP, 1, campaign="alpha", key=["a"])
-        assert not (tmp_path / INDEX_NAME).exists()
 
 
 # -- a minimal concrete campaign (module level: workers pickle it) ---------------
@@ -550,3 +563,94 @@ class TestProgressThreadSafety:
         progress.update(items_done=3, items_total=9, elapsed_s=1.5)
         assert (progress.items_done, progress.items_total) == (3, 9)
         assert progress.elapsed_s == 1.5
+
+
+# -- the contract every campaign family shares ------------------------------------
+
+
+def _faultsim_adapter(store_dir, progress):
+    from repro.faultsim.evaluators import SECDEDEvaluator
+    from repro.faultsim.geometry import X8_SECDED_16GB
+    from repro.faultsim.montecarlo import MonteCarloConfig
+    from repro.faultsim.parallel import simulate_parallel
+
+    config = MonteCarloConfig(n_modules=2_000, seed=1, engine="fast")
+    simulate_parallel(
+        SECDEDEvaluator(X8_SECDED_16GB),
+        X8_SECDED_16GB,
+        config,
+        workers=1,
+        shards=3,
+        checkpoint_dir=store_dir,
+        progress=progress,
+    )
+    return 3
+
+
+def _perf_adapter(store_dir, progress):
+    from repro.perf.campaign import plan_grid, run_cells
+    from repro.perf.model import PerfConfig
+    from repro.perf.organizations import safeguard
+
+    config = PerfConfig(
+        n_cores=1, instructions_per_core=2_000, warmup_instructions=500, engine="fast"
+    )
+    cells = plan_grid([safeguard(8)], ["mcf"], [config.seed])
+    run_cells(cells, config, workers=1, cache_dir=store_dir, progress=progress)
+    return len(cells)
+
+
+def _sweep_adapter(store_dir, progress):
+    from repro.rowhammer.sweep import SweepConfig, plan_sweep, run_sweep
+
+    cells = plan_sweep(
+        attacks=["double-sided"],
+        mitigations=["none"],
+        schemes=["secded", "safeguard-secded"],
+    )
+    run_sweep(
+        cells, SweepConfig(budget=2_000), cache_dir=store_dir, progress=progress
+    )
+    return len(cells)
+
+
+def _playbook_adapter(store_dir, progress):
+    from repro.rowhammer.playbook import PlaybookConfig, plan_playbook, run_playbook
+
+    config = PlaybookConfig(budget=2_000)
+    cells = plan_playbook(
+        scenarios=["double-sided"],
+        mitigations=["none"],
+        schemes=["secded", "safeguard-secded"],
+        config=config,
+    )
+    run_playbook(cells, config, cache_dir=store_dir, progress=progress)
+    return len(cells)
+
+
+#: Each family's tiny run: ``(store_dir, progress) -> items planned``.
+ADAPTERS = {
+    "faultsim": _faultsim_adapter,
+    "perf": _perf_adapter,
+    "hammer-sweep": _sweep_adapter,
+    "playbook": _playbook_adapter,
+}
+
+
+class TestAdapterContract:
+    """Every campaign family reports, names and indexes its cells alike."""
+
+    @pytest.mark.parametrize("family", sorted(ADAPTERS))
+    def test_progress_names_and_index(self, tmp_path, family):
+        snaps = []
+        n_items = ADAPTERS[family](str(tmp_path), snaps.append)
+        assert snaps and all(isinstance(s, CampaignProgress) for s in snaps)
+        assert snaps[-1].items_done == snaps[-1].items_total == n_items
+        cells = sorted(name for name in os.listdir(tmp_path) if name != INDEX_NAME)
+        pattern = re.compile(rf"{re.escape(family)}-[0-9a-f]{{16}}\.json")
+        assert len(cells) == n_items
+        assert all(pattern.fullmatch(name) for name in cells), cells
+        assert sorted(entry["cell"] for entry in read_index(str(tmp_path))) == cells
+        summary = summarize_index(str(tmp_path))
+        assert list(summary) == [family]
+        assert summary[family]["completed"] == summary[family]["cells"] == n_items

@@ -354,7 +354,7 @@ class TestCrossEngineCheckpoints:
             shards=3,
             checkpoint_dir=str(tmp_path),
         )
-        assert len(list(tmp_path.iterdir())) == 3
+        assert len(list(tmp_path.glob("faultsim-*.json"))) == 3
         reference_config = MonteCarloConfig(seed=3, engine="reference", **STAT)
         events = []
         resumed = simulate_parallel(
@@ -366,9 +366,11 @@ class TestCrossEngineCheckpoints:
             checkpoint_dir=str(tmp_path),
             progress=events.append,
         )
-        # Every fast checkpoint was rejected and recomputed by the
-        # reference engine; the result is the pure reference one.
-        assert events[-1].shards_from_checkpoint == 0
+        # The engine is part of every cell's fingerprint, so no fast
+        # checkpoint is reused: the reference engine recomputed every
+        # shard and the result is the pure reference one.
+        assert events[-1].items_from_store == 0
+        assert len(list(tmp_path.glob("faultsim-*.json"))) == 6
         assert_identical(
             resumed, simulate(evaluator, X8_SECDED_16GB, reference_config)
         )
@@ -385,5 +387,5 @@ class TestCrossEngineCheckpoints:
             evaluator, X8_SECDED_16GB, config, workers=1, shards=3,
             checkpoint_dir=str(tmp_path), progress=events.append,
         )
-        assert events[-1].shards_from_checkpoint == 3
+        assert events[-1].items_from_store == 3
         assert_identical(first, second)

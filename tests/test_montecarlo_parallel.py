@@ -5,7 +5,8 @@ Three pillars:
 - **Equivalence** — any sharding/worker count reproduces the sequential
   ``simulate()`` output bit-for-bit (fail times, curves, scope counts).
 - **Checkpoint/resume** — a killed run resumes from per-shard checkpoint
-  files; corrupted or stale checkpoints fall back to recomputation.
+  cells (``faultsim-<digest>.json``, listed in the store's index);
+  corrupted or stale checkpoints fall back to recomputation.
 - **Merge algebra** — ``ReliabilityResult.merge`` is associative and
   order-independent, its Wilson interval equals the pooled-n
   computation, and the ``derive_seed`` streams feeding the engine are
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import INDEX_NAME, CampaignProgress, read_index, summarize_index
 from repro.faultsim.evaluators import (
     Outcome,
     SafeGuardSECDEDEvaluator,
@@ -93,15 +95,11 @@ class TestResolveWorkers:
 
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "9")
-        assert resolve_workers(3, MonteCarloConfig(workers=5).workers) == 3
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "9")
-        assert resolve_workers(None, MonteCarloConfig(workers=5).workers) == 5
+        assert resolve_workers(3) == 3
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "9")
-        assert resolve_workers(None, MonteCarloConfig().workers) == 9
+        assert resolve_workers(None) == 9
 
     def test_default_is_sequential(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -137,8 +135,9 @@ class TestShardedEquivalence:
         assert sequential.n_failed > 0
         assert_identical(sequential, pooled)
 
-    def test_config_fields_drive_engine(self):
-        config = MonteCarloConfig(seed=5, workers=1, shards=3, **FAST)
+    def test_default_execution_matches_sequential(self):
+        """No execution arguments: ``REPRO_WORKERS`` or one in-process shard."""
+        config = MonteCarloConfig(seed=5, **FAST)
         evaluator = SECDEDEvaluator(X8_SECDED_16GB)
         assert_identical(
             simulate(evaluator, X8_SECDED_16GB, config),
@@ -164,13 +163,20 @@ class TestShardedEquivalence:
             shards=6,
             progress=events.append,
         )
-        assert [e.shards_done for e in events] == [1, 2, 3, 4, 5, 6]
+        assert all(isinstance(e, CampaignProgress) for e in events)
+        assert [e.items_done for e in events] == [1, 2, 3, 4, 5, 6]
         final = events[-1]
-        assert final.modules_done == final.modules_total == config.n_modules
+        # Shards are the items; modules are the units the rate is quoted in.
+        assert final.units_done == final.units_total == config.n_modules
         assert final.fraction_done == 1.0
         assert final.eta_s == 0.0
-        assert final.modules_per_sec > 0
-        assert "shard 6/6" in final.describe()
+        assert final.rate > 0
+        assert "item 6/6" in final.describe()
+
+
+def shard_cells(directory) -> dict:
+    """Shard index -> checkpoint cell file name, from the store's index."""
+    return {entry["key"][0]: entry["cell"] for entry in read_index(str(directory))}
 
 
 class TestCheckpointResume:
@@ -188,35 +194,39 @@ class TestCheckpointResume:
 
     def test_resume_after_kill_matches_uninterrupted(self, tmp_path):
         uninterrupted = self._run(tmp_path)
-        files = sorted(os.listdir(tmp_path))
-        assert files == [f"shard-{i:05d}.json" for i in range(5)]
+        cells = shard_cells(tmp_path)
+        assert sorted(cells) == list(range(5))
+        assert sorted(os.listdir(tmp_path)) == sorted([*cells.values(), INDEX_NAME])
+        assert summarize_index(str(tmp_path))["faultsim"]["completed"] == 5
         # Simulate a killed run: two shards never finished.
-        (tmp_path / files[1]).unlink()
-        (tmp_path / files[4]).unlink()
+        (tmp_path / cells[1]).unlink()
+        (tmp_path / cells[4]).unlink()
         events = []
         resumed = self._run(tmp_path, progress=events.append)
         assert_identical(uninterrupted, resumed)
-        assert events[-1].shards_from_checkpoint == 3
+        assert events[-1].items_from_store == 3
 
     def test_corrupted_checkpoint_recomputed(self, tmp_path):
         reference = self._run(tmp_path)
-        (tmp_path / "shard-00002.json").write_text("{ not json")
-        (tmp_path / "shard-00003.json").write_text(json.dumps({"version": 1}))
+        cells = shard_cells(tmp_path)
+        (tmp_path / cells[2]).write_text("{ not json")
+        (tmp_path / cells[3]).write_text(json.dumps({"version": 1}))
         events = []
         resumed = self._run(tmp_path, progress=events.append)
         assert_identical(reference, resumed)
-        assert events[-1].shards_from_checkpoint == 3
+        assert events[-1].items_from_store == 3
+        assert events[-1].rejected_corrupt == 2
         # The recomputed checkpoints are valid again.
         events = []
         self._run(tmp_path, progress=events.append)
-        assert events[-1].shards_from_checkpoint == 5
+        assert events[-1].items_from_store == 5
 
     def test_stale_fingerprint_ignored(self, tmp_path):
         self._run(tmp_path)
         other = MonteCarloConfig(seed=99, **FAST)
         events = []
         resumed = self._run(tmp_path, config=other, progress=events.append)
-        assert events[-1].shards_from_checkpoint == 0
+        assert events[-1].items_from_store == 0
         assert_identical(
             simulate(SECDEDEvaluator(X8_SECDED_16GB), X8_SECDED_16GB, other), resumed
         )
@@ -231,7 +241,7 @@ class TestCheckpointResume:
             shards=4,
             checkpoint_dir=str(tmp_path),
         )
-        assert len(os.listdir(tmp_path)) == 4
+        assert len(shard_cells(tmp_path)) == 4
         resumed = self._run(tmp_path, config=dataclasses.replace(config), shards=4)
         assert_identical(pooled, resumed)
 

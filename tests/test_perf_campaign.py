@@ -23,12 +23,11 @@ import os
 
 import pytest
 
+from repro.campaign import CampaignProgress, cell_name
 from repro.cpu.system import SystemResult
 from repro.cpu.workloads import profile
 from repro.perf.campaign import (
     CampaignCell,
-    ProgressStats,
-    _cache_path,
     cell_fingerprint,
     plan_grid,
     resolve_workers,
@@ -129,8 +128,8 @@ def test_cache_reloads_every_cell(sequential, tmp_path):
     assert_results_identical(sequential, first)
     assert_results_identical(first, second)
     # 2 workloads x (baseline + 2 orgs) = 6 cells, all reloaded.
-    assert stats[-1].cells_total == 6
-    assert stats[-1].cells_from_cache == 6
+    assert stats[-1].items_total == 6
+    assert stats[-1].items_from_store == 6
 
 
 def test_corrupted_cache_recomputes(sequential, tmp_path):
@@ -157,7 +156,7 @@ def test_corrupted_cache_recomputes(sequential, tmp_path):
         progress=stats.append,
     )
     assert_results_identical(sequential, again)
-    assert stats[-1].cells_from_cache == 4  # two poisoned cells recomputed
+    assert stats[-1].items_from_store == 4  # two poisoned cells recomputed
 
 
 def test_tampered_fingerprint_is_rejected(sequential, tmp_path):
@@ -166,7 +165,7 @@ def test_tampered_fingerprint_is_rejected(sequential, tmp_path):
     cells = plan_grid(ORGS, WORKLOADS, [FAST.seed])
     run_cells(cells, FAST, workers=1, cache_dir=cache)
     fingerprint = cell_fingerprint(cells[0], FAST)
-    path = _cache_path(cache, fingerprint)
+    path = os.path.join(cache, cell_name("perf", fingerprint))
     with open(path) as handle:
         payload = json.load(handle)
     payload["fingerprint"]["seed"] = 777  # same filename, different science
@@ -183,7 +182,7 @@ def test_tampered_fingerprint_is_rejected(sequential, tmp_path):
         progress=stats.append,
     )
     assert_results_identical(sequential, again)
-    assert stats[-1].cells_from_cache == 5
+    assert stats[-1].items_from_store == 5
 
 
 def test_changed_scale_misses_cache(tmp_path):
@@ -205,7 +204,7 @@ def test_changed_scale_misses_cache(tmp_path):
         cache_dir=cache,
         progress=stats.append,
     )
-    assert stats[-1].cells_from_cache == 0
+    assert stats[-1].items_from_store == 0
 
 
 # -- fingerprints and grid planning ----------------------------------------------
@@ -224,16 +223,6 @@ def test_fingerprint_distinguishes_science_knobs():
     ]
     for variant in variants:
         assert variant != base
-    # Execution knobs are not science: a different worker count or cache
-    # location must still hit the same cached cells.
-    exec_only = PerfConfig(
-        n_cores=FAST.n_cores,
-        instructions_per_core=FAST.instructions_per_core,
-        warmup_instructions=FAST.warmup_instructions,
-        workers=7,
-        cache_dir="/elsewhere",
-    )
-    assert cell_fingerprint(cell, exec_only) == base
 
 
 def test_fingerprint_pins_code_constants():
@@ -268,22 +257,28 @@ def test_resolve_workers_precedence(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     assert resolve_workers() == 1
     assert resolve_workers(3) == 3
-    assert resolve_workers(None, PerfConfig(workers=2).workers) == 2
     monkeypatch.setenv(WORKERS_ENV, "5")
     assert resolve_workers() == 5
     assert resolve_workers(2) == 2  # explicit beats env
-    assert resolve_workers(None, PerfConfig(workers=4).workers) == 4  # config beats env
     with pytest.raises(ValueError):
         resolve_workers(0)
 
 
 def test_progress_stats_shape():
-    done = ProgressStats(cells_done=3, cells_total=6, cells_from_cache=1, elapsed_s=2.0)
-    assert done.cells_per_sec == pytest.approx(1.5)
+    # A perf cell is one item and one unit.
+    done = CampaignProgress(
+        items_done=3,
+        items_total=6,
+        items_from_store=1,
+        units_done=3,
+        units_total=6,
+        elapsed_s=2.0,
+    )
+    assert done.rate == pytest.approx(1.5)
     assert done.eta_s == pytest.approx(2.0)
     assert done.fraction_done == pytest.approx(0.5)
     assert "3/6" in done.describe()
-    empty = ProgressStats(cells_done=0, cells_total=0, cells_from_cache=0, elapsed_s=0.0)
+    empty = CampaignProgress()
     assert empty.fraction_done == 1.0
     assert empty.eta_s == 0.0
 
@@ -298,9 +293,9 @@ def test_progress_is_monotonic(tmp_path):
         cache_dir=str(tmp_path),
         progress=stats.append,
     )
-    counts = [s.cells_done for s in stats]
+    counts = [s.items_done for s in stats]
     assert counts == sorted(counts)
-    assert counts[-1] == stats[-1].cells_total == 3
+    assert counts[-1] == stats[-1].items_total == 3
 
 
 # -- reporting metrics -----------------------------------------------------------

@@ -399,7 +399,7 @@ class TestCrossEngineCache:
         results = run_cells(
             cells, config, workers=1, cache_dir=cache, progress=stats.append
         )
-        return results, stats[-1].cells_from_cache
+        return results, stats[-1].items_from_store
 
     def test_cached_cells_never_cross_engines(self, tmp_path):
         cache = str(tmp_path)
