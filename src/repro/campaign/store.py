@@ -55,6 +55,9 @@ def atomic_write_json(path: str, payload: Any) -> None:
     intact content) and a crash never leaves a partial file under the
     final name.
     """
+    # ``json.dumps`` runs the C encoder (``json.dump`` streams through the
+    # pure-Python one) and fails before any file exists.
+    text = json.dumps(payload)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
@@ -62,7 +65,7 @@ def atomic_write_json(path: str, payload: Any) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

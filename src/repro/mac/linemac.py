@@ -85,7 +85,9 @@ class LineMAC:
 
         Bit-exact with per-pair :meth:`compute`; on the fast path all
         cipher invocations (tweak derivations and word encryptions) run as
-        two vectorized numpy SPECK passes.
+        two vectorized numpy SPECK passes. A batch at one address (a
+        correction search's candidates) takes the address's memoized
+        tweaks and needs only the word pass.
         """
         if len(lines) != len(addresses):
             raise ValueError("lines and addresses must have equal length")
@@ -99,11 +101,14 @@ class LineMAC:
         for line in lines:
             if len(line) != 64:
                 raise ValueError("line must be exactly 64 bytes")
-        addr = np.array([a & _MASK64 for a in addresses], dtype=np.uint64)
-        stride = np.arange(WORDS_PER_LINE, dtype=np.uint64) * np.uint64(
-            _TWEAK_STRIDE
-        )
-        tweaks = self._cipher.encrypt_batch(addr[:, None] ^ stride)
+        if len(set(addresses)) == 1:
+            tweaks = np.array(self._tweaks(addresses[0]), dtype=np.uint64)
+        else:
+            addr = np.array([a & _MASK64 for a in addresses], dtype=np.uint64)
+            stride = np.arange(WORDS_PER_LINE, dtype=np.uint64) * np.uint64(
+                _TWEAK_STRIDE
+            )
+            tweaks = self._cipher.encrypt_batch(addr[:, None] ^ stride)
         words = np.frombuffer(b"".join(lines), dtype="<u8").reshape(
             len(lines), WORDS_PER_LINE
         )

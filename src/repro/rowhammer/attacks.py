@@ -30,6 +30,7 @@ row 1 instead of the nonexistent row -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rowhammer.model import DEFAULT_REF_PERIOD
@@ -169,14 +170,14 @@ def clip_rows(
 def compile_schedule(
     phases: Sequence[SchedulePhase], min_fill: int = 1
 ) -> Callable[[int, int], Iterator[int]]:
-    """Compile phases into a ``schedule(budget, ref_period)`` generator.
+    """Compile phases into a ``schedule(budget, ref_period)`` row iterator.
 
     Phases cycle in order until the budget is exhausted. With a fill
     phase (``reads=None``) the cycle is REF-synchronized: the fill phase
     hammers for ``max(min_fill, ref_period - explicit_reads)`` slots, so
     the explicit phases (tracker-flush bursts) land just before each REF
     command. Without one, phases simply repeat with their explicit
-    counts. The generator is a pure function of ``(budget, ref_period)``
+    counts. The schedule is a pure function of ``(budget, ref_period)``
     — identical arguments replay a bit-identical activation stream.
     """
     if not phases:
@@ -197,25 +198,27 @@ def compile_schedule(
     compiled = tuple(phases)
 
     def schedule(budget: int, ref_period: int) -> Iterator[int]:
-        pointers = [0] * len(compiled)
-        issued = 0
-        while issued < budget:
-            for index, phase in enumerate(compiled):
-                slots = (
-                    phase.reads
-                    if phase.reads is not None
-                    else max(min_fill, ref_period - explicit_total)
-                )
-                if phase.restart:
-                    pointers[index] = 0
-                rows = phase.rows
-                n = len(rows)
-                pointer = pointers[index]
-                for _ in range(min(slots, budget - issued)):
-                    yield rows[pointer % n]
-                    pointer += 1
-                    issued += 1
-                pointers[index] = pointer
+        # Each phase draws from its own endless round-robin over its rows
+        # (a fresh one per cycle if it restarts); a cycle takes each
+        # phase's slot count in turn, and the whole stream stops at the
+        # budget. A lone persistent phase is its round-robin itself.
+        budget = max(0, budget)
+        if len(compiled) == 1 and not compiled[0].restart:
+            return islice(cycle(compiled[0].rows), budget)
+        fill = max(min_fill, ref_period - explicit_total)
+        plan = [
+            (phase, fill if phase.reads is None else phase.reads, cycle(phase.rows))
+            for phase in compiled
+        ]
+
+        def cycles() -> Iterator[Iterator[int]]:
+            while True:
+                for phase, slots, rows in plan:
+                    if phase.restart:
+                        rows = cycle(phase.rows)
+                    yield islice(rows, slots)
+
+        return islice(chain.from_iterable(cycles()), budget)
 
     return schedule
 

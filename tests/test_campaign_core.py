@@ -124,6 +124,17 @@ class TestAtomicWrite:
         atomic_write_json(str(path), {"a": 1})
         assert json.loads(path.read_text()) == {"a": 1}
 
+    def test_bytes_equal_json_dumps(self, tmp_path):
+        path = tmp_path / "cell.json"
+        payload = {
+            "version": 1,
+            "fingerprint": {"campaign": "x", "seed": 3, "shape": [1, 2.5, None]},
+            "result": {"p": 0.1 + 0.2, "big": 2**70, "text": "\u00e9\u2603",
+                       "nested": [{"a": True}, [], {}], "nan": float("nan")},
+        }
+        atomic_write_json(str(path), payload)
+        assert path.read_bytes() == json.dumps(payload).encode()
+
     def test_no_temp_litter(self, tmp_path):
         path = tmp_path / "cell.json"
         atomic_write_json(str(path), [1, 2, 3])
