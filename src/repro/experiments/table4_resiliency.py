@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import registry
+from repro.ecc.parity import spread_beats
 from repro.experiments.reporting import format_table, print_banner
 from repro.utils.rng import make_rng
 
@@ -56,14 +57,6 @@ class ModeScore:
         return "no"
 
 
-def _pin_mask(pin: int, symbol: int) -> int:
-    mask = 0
-    for beat in range(8):
-        if (symbol >> beat) & 1:
-            mask |= 1 << (beat * 64 + pin)
-    return mask
-
-
 def _chip_word_mask(chip: int, beat: int) -> int:
     return 0xFF << (beat * 64 + chip * 8)
 
@@ -86,7 +79,7 @@ def _inject(controller, address: int, mode: str, rng: random.Random) -> None:
         while bin(symbol).count("1") < 2:
             symbol = rng.randrange(1, 256)
         if pin < 64:
-            controller.inject_data_bits(address, _pin_mask(pin, symbol))
+            controller.inject_data_bits(address, spread_beats(symbol, 1) << pin)
         else:
             meta_mask = 0
             for beat in range(8):
