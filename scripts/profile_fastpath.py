@@ -4,7 +4,7 @@ Runs cProfile over each pass separately on the Figure 7 grid (or a
 ``--quick`` subset) and dumps the top-N functions by cumulative time as
 JSON, so the next perf PR against :mod:`repro.perf.fastpath` starts
 from data, not guesses. The same breakdown is reachable from the CLI as
-``python -m repro fig7 --profile OUT.json``.
+``python -m repro fig7 --engine fast --profile OUT.json``.
 
 Usage::
 

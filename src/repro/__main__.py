@@ -11,7 +11,7 @@ Usage::
     python -m repro fig6 --engine fast       # vectorized Monte-Carlo engine
     python -m repro fig7 --workers 8         # parallel perf campaign (same output)
     python -m repro fig7 --cache-dir .cells  # resumable per-cell result cache
-    python -m repro fig7 --profile prof.json # + per-pass cProfile dump
+    python -m repro fig7 --engine fast --profile prof.json  # + per-pass cProfile
     python -m repro hammer-sweep --workers 4 --cache-dir .sweep
     python -m repro playbook list            # named attack scenarios
     python -m repro playbook show many-sided # format + compiled preview
@@ -46,9 +46,10 @@ instead). ``switches`` prints the four environment switches
 (``REPRO_KERNELS``, ``REPRO_PERF``, ``REPRO_FAULTSIM``, ``REPRO_WORKERS``;
 see ``repro.switches``) with their allowed, default and resolved
 values. ``--profile
-PATH`` (fig7/fig11) additionally writes a per-pass cProfile breakdown of
-the fast perf engine — synthesis vs. content vs. timing, top functions
-by cumulative time — as JSON (see ``scripts/profile_fastpath.py``).
+PATH`` (fig7/fig11, fast perf engine only) additionally writes a
+per-pass cProfile breakdown of the fast perf engine — synthesis vs.
+content vs. timing, top functions by cumulative time — as JSON (see
+``scripts/profile_fastpath.py``).
 
 Distributed serving: ``python -m repro serve --store-dir DIR`` starts
 the asyncio campaign server (shared fingerprint-verified result store +

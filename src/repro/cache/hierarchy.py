@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.cache.cache import Cache
 from repro.cache.prefetcher import StreamPrefetcher
@@ -36,14 +36,13 @@ class CacheHierarchy:
         self,
         n_cores: int,
         organization,
-        controller: Optional[MemoryController] = None,
         l1_kb: int = 32,
         llc_mb: int = 4,
         line_bytes: int = 64,
         enable_prefetch: bool = True,
     ):
         self.organization = organization
-        self.controller = controller or MemoryController()
+        self.controller = MemoryController()
         self.line_bytes = line_bytes
         self.l1 = [
             Cache(l1_kb * 1024, 4, line_bytes, name=f"l1d-{i}") for i in range(n_cores)
@@ -122,9 +121,8 @@ class CacheHierarchy:
     def _dram_read(self, line: int, now_cpu: float) -> float:
         """Demand read (+ organization extra read), in CPU cycles."""
         now_mem = now_cpu / CPU_CYCLES_PER_MEM_CYCLE
-        response = self.controller.read(line * self.line_bytes, now_mem)
+        ready_mem = self.controller.read(line * self.line_bytes, now_mem)
         self.dram_reads += 1
-        ready_mem = response.data_ready_time
         org = self.organization
         if org.extra_read_per_read:
             # SGX-style: the MAC line is fetched concurrently with the data
@@ -142,13 +140,13 @@ class CacheHierarchy:
         completion = inflight.get(meta_address)
         if completion is not None and completion > now_mem:
             return completion  # MSHR hit: ride the outstanding fetch
-        response = self.controller.read(meta_address, now_mem)
+        completion = self.controller.read(meta_address, now_mem)
         self.dram_reads += 1
-        inflight[meta_address] = response.data_ready_time
+        inflight[meta_address] = completion
         inflight.move_to_end(meta_address)
         while len(inflight) > 8:
             inflight.popitem(last=False)
-        return response.data_ready_time
+        return completion
 
     def _dram_write(self, line: int, now_cpu: float) -> float:
         """Post a writeback (+ organization extra write).

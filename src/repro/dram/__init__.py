@@ -1,4 +1,4 @@
-"""Bank-level DRAM timing model (the Ramulator stand-in; see DESIGN.md §4).
+"""DRAM timing model (the Ramulator stand-in; see DESIGN.md §4).
 
 Models the Table II memory system: DDR4-3200, 1 channel, 2 ranks of 16
 banks, 8KB row buffer, 64-entry read and write queues. Captures the
@@ -7,20 +7,17 @@ misses/conflicts, bank-level parallelism, data-bus occupancy, write-drain
 interference, and refresh — the terms that translate extra memory
 accesses (SGX-/Synergy-style MACs) and extra check latency (SafeGuard)
 into slowdown.
+
+:class:`MemoryController` is the one controller both perf engines run;
+its object-model oracle lives in ``tests/dram_oracle.py``.
 """
 
 from repro.dram.timing import DDR4_3200, DramTiming
-from repro.dram.address_map import AddressMapper, DramAddress
-from repro.dram.bank import Bank
-from repro.dram.controller import MemoryController, MemRequest, MemResponse
+from repro.dram.controller import MemoryController, map_address
 
 __all__ = [
     "DDR4_3200",
     "DramTiming",
-    "AddressMapper",
-    "DramAddress",
-    "Bank",
     "MemoryController",
-    "MemRequest",
-    "MemResponse",
+    "map_address",
 ]

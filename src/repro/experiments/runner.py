@@ -312,9 +312,10 @@ STORE_URL_AWARE = frozenset(
     {"fig6", "fig7", "fig11", "fig12", "fig13", "hammer-sweep"}
 )
 
-#: Experiments that accept ``--profile PATH``: after the figure runs,
-#: the fast perf engine's passes are cProfiled per pass over the same
-#: grid and the breakdown written as JSON (repro.perf.profiling).
+#: Experiments that accept ``--profile PATH`` (with the fast perf
+#: engine only): after the figure runs, the fast engine's passes are
+#: cProfiled per pass over the same grid and the breakdown written as
+#: JSON (repro.perf.profiling).
 PROFILE_AWARE = frozenset({"fig7", "fig11"})
 
 
@@ -388,6 +389,13 @@ def run_experiment(
             raise ValueError(
                 f"experiment {name!r} does not take --profile; "
                 f"profile-aware: {', '.join(sorted(PROFILE_AWARE))}"
+            )
+        if switches.PERF.resolve(engine) != "fast":
+            # The profile replays the fast engine's passes; on any other
+            # engine it would describe a run that never happened.
+            raise ValueError(
+                f"--profile profiles the fast perf engine: run {name} "
+                "with --engine fast (or REPRO_PERF=fast)"
             )
         kwargs["profile_to"] = profile_to
     runner(**kwargs)

@@ -16,29 +16,34 @@ speeds that permit real workload sweeps — built as three passes:
    ``ways`` distinct lines by last fill position, which one
    ``np.unique``/``np.lexsort`` pass produces without simulating fills.
 
-2. **Content pass** (shared): one lean merged loop over all cores' ops in
-   deterministic virtual-time order (instruction count, ties by core id —
-   in rate mode every core runs at the same base CPI, so this is the
-   reference interleave up to timing jitter) replays the exact L1 / LLC /
-   stream-prefetcher bookkeeping inline on plain dicts and records, per
-   op, its hit level plus the ordered list of controller-facing actions
+2. **Content pass** (shared): all cores' ops are merged in deterministic
+   virtual-time order (instruction count, ties by core id — in rate mode
+   every core runs at the same base CPI, so this is the reference
+   interleave up to timing jitter) and the exact L1 / LLC /
+   stream-prefetcher bookkeeping is replayed over them, recording per
+   op its hit level plus the ordered list of controller-facing actions
    (demand read, victim writeback, prefetch reads, prefetch-victim and
    inclusion-violation writebacks). Because organizations differ only in
    *timing* (MAC tail, extra metadata accesses), never in which lines are
    touched, this pass is organization-independent: it is memoized and
-   shared across every organization of a campaign grid.
+   shared across every organization of a campaign grid. The replay runs
+   as per-set numpy LRU kernels over a same-line-run-collapsed stream
+   (:func:`_batched_replay`). A vectorized residency check detects an
+   inclusion back-invalidation, the one cross-set interaction; the pass
+   then takes the exact one-op-at-a-time replay (:func:`_scalar_replay`)
+   instead.
 
 3. **Timing pass** (sparse, per organization): only ops with controller
-   actions (a few percent) are walked event-wise; between events a core's
-   clock advances by closed-form prefix sums, and ROB-window stalls from
-   outstanding DRAM loads are resolved per entry at its precomputed
-   window-crossing op. DRAM requests run on :class:`_FastController`, the
-   scalar controller inlined on plain dicts/heaps and pinned
-   **bit-identical** to :class:`~repro.dram.controller.MemoryController`
-   by A/B tests; the rare paths — watermark drain episodes, full-queue
-   backpressure, refresh, tRRD/tFAW pacing, metadata MSHR coalescing and
-   write merging, inclusion-violation writebacks — keep their exact
-   scalar semantics rather than being approximated away.
+   actions (a few percent) are walked event-wise over a precomputed
+   structured event table; between events a core's clock advances by
+   closed-form prefix sums, and ROB-window stalls from outstanding DRAM
+   loads are resolved per entry at its precomputed window-crossing op.
+   DRAM requests run on :class:`~repro.dram.controller.MemoryController`,
+   the same controller the reference engine uses; the rare paths —
+   watermark drain episodes, full-queue backpressure, refresh,
+   tRRD/tFAW pacing, metadata MSHR coalescing and write merging,
+   inclusion-violation writebacks — keep their exact semantics rather
+   than being approximated away.
 
 Fast and reference engines are *statistically equivalent*, not
 bit-identical: batching replaces the per-core Mersenne-Twister streams
@@ -54,23 +59,17 @@ modes.
 Mode resolution: ``PerfConfig.engine`` > the ``perf`` row of
 :mod:`repro.switches` (``REPRO_PERF``) > ``"reference"`` (the default).
 
-Within the fast engine, the content pass runs through per-set numpy LRU
-kernels (set indices partition the access stream, so every set's LRU
-recurrence runs over a contiguous array; a vectorized residency check
-detects would-be inclusion back-invalidations and falls back to the
-exact scalar replay) and the timing pass over a precomputed structured
-event table. The original per-access / per-event Python loops stay as
-their **bit-identical** oracle — the batched kernels are an
-evaluation-order change, not a model change — reached only through the
-private ``scalar=True`` argument of :func:`_content_pass_uncached` and
-:func:`_timing_pass`; ``tests/test_perf_batched.py`` pins the identity.
+The batched replay and the event-table tick are evaluation-order
+rewrites, not model changes: ``tests/test_perf_batched.py`` pins the
+batched replay to :func:`_scalar_replay` and the tick to the original
+per-event heap walk, which lives on only as a test oracle
+(``tests/perf_oracle.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -83,7 +82,7 @@ from repro.cpu.system import SystemResult
 from repro.cpu.trace import TraceGenerator
 from repro.cpu.workloads import WorkloadProfile
 from repro.dram.controller import MemoryController
-from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE, DDR4_3200
+from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE
 from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
 
 #: Generation counter for the fast engine's replay/timing kernels,
@@ -576,34 +575,53 @@ def _run_prefetcher(
     return out_pos, out_line, out_sub
 
 
-def _batched_replay(
-    line: np.ndarray,
-    l1_index: np.ndarray,
-    write: np.ndarray,
-    core_of: np.ndarray,
-    idx_of: np.ndarray,
-    boundary: int,
-    trace_lens: List[int],
-    fill_lines: np.ndarray,
-    fill_dirty: np.ndarray,
-    pf_params: Tuple[int, int, int],
-):
+def _batched_replay(merged: "_MergedOps"):
     """The content replay as per-set array kernels (the production path).
 
-    Decomposes the scalar replay into independent per-set recurrences:
-    the L1 kernel yields hits/victims per op, the prefetcher loop runs
-    over the miss stream, and the LLC kernel replays each set's probe
-    stream ordered by ``(merged position, in-op sub-order)`` — demand
-    probe, dirty-victim touch, prefetch burst — exactly the scalar
-    in-op order. The decomposition is exact unless an LLC eviction
-    back-invalidates a line still resident in an L1 (the only cross-set
-    interaction); a vectorized residency count over the L1 fill/evict
-    streams detects that case soundly — it fires iff the scalar replay
-    would count a back-invalidation — and the caller falls back to the
-    exact uncollapsed scalar replay. Returns ``None`` in that case,
-    else ``(counters, outcome, per-core event arrays, hits_base,
-    misses_base)`` bit-equal to the scalar ``run()``.
+    First collapses same-line runs: consecutive accesses to the same
+    line within one (core, L1-set) stream are guaranteed L1 hits whose
+    only effect is OR-ing the line's dirty bit (the leader leaves it at
+    L1 MRU and no same-set access intervenes), so each run is replayed
+    as its leader carrying the run-ORed write bit. That removes 65-80%
+    of the ops on streaming workloads. Then decomposes the replay into
+    independent per-set recurrences: the L1 kernel yields hits/victims
+    per op, the prefetcher loop runs over the miss stream, and the LLC
+    kernel replays each set's probe stream ordered by ``(merged
+    position, in-op sub-order)`` — demand probe, dirty-victim touch,
+    prefetch burst — exactly the scalar in-op order.
+
+    Both rewrites are exact unless an LLC eviction back-invalidates a
+    line still resident in an L1 (the only cross-set interaction, and
+    the only thing that can break a collapsed run mid-flight); a
+    vectorized residency count over the L1 fill/evict streams detects
+    that case soundly — it fires iff the exact replay would count a
+    back-invalidation — and returns ``None`` so the caller takes
+    :func:`_scalar_replay`. Otherwise returns the same ``(counters,
+    outcome, per-core event arrays, hits_base, misses_base)`` as
+    :func:`_scalar_replay`, bit for bit.
     """
+    np_line, np_l1idx, np_write = merged.line, merged.l1_index, merged.write
+    n_merged = len(np_line)
+    srt = np.argsort(np_l1idx, kind="stable")
+    same = np.zeros(n_merged, dtype=bool)
+    same[1:] = (np_l1idx[srt[1:]] == np_l1idx[srt[:-1]]) & (
+        np_line[srt[1:]] == np_line[srt[:-1]]
+    )
+    leader = np.ones(n_merged, dtype=bool)
+    leader[srt] = ~same
+    run_starts = np.flatnonzero(~same)
+    eff_write = np.zeros(n_merged, dtype=bool)
+    eff_write[srt[run_starts]] = np.logical_or.reduceat(np_write[srt], run_starts)
+    # Merged position of each collapsed op (events report these).
+    leader_pos = np.flatnonzero(leader)
+    line = np_line[leader]
+    l1_index = np_l1idx[leader]
+    write = eff_write[leader]
+    core_of = merged.core[leader]
+    idx_of = merged.idx[leader]
+    boundary = int(np.count_nonzero(leader[: merged.boundary_pos]))
+    trace_lens = [len(t.instr_cum) for t in merged.traces]
+
     llc_ways = _LLC_WAYS
     llc_mask = _LLC_SETS - 1
     n_cores = len(trace_lens)
@@ -615,7 +633,7 @@ def _batched_replay(
         line[miss_pos].tolist(),
         core_of[miss_pos].tolist(),
         n_cores,
-        *pf_params,
+        *merged.pf_params,
     )
     touch_pos = np.flatnonzero(l1_vdirty)
     probe_pos = np.concatenate(
@@ -640,12 +658,14 @@ def _batched_replay(
     )
     # lexsort((probe_sub, probe_pos)) as one radix pass: sub-orders are
     # bounded by degree + 1, so pack them under the merged position.
-    sub_stride = np.int64(pf_params[1] + 2)
+    sub_stride = np.int64(merged.pf_params[1] + 2)
     order = np.argsort(probe_pos * sub_stride + probe_sub, kind="stable")
     probe_pos = probe_pos[order]
     probe_line = probe_line[order]
     probe_kind = probe_kind[order]
-    tags = _initial_llc_arrays(fill_lines, fill_dirty, _LLC_SETS, llc_ways)
+    tags = _initial_llc_arrays(
+        merged.fill_lines, merged.fill_dirty, _LLC_SETS, llc_ways
+    )
     probe_hit, probe_vline, probe_vdirty = _llc_kernel(
         probe_line & llc_mask, probe_line, probe_kind, tags, llc_ways
     )
@@ -751,7 +771,12 @@ def _batched_replay(
             )
             offsets = np.concatenate(([0], np.cumsum(lens_c)))
             events.append(
-                (event_op[sel], event_pos[sel], offsets, actions_flat[gather])
+                (
+                    event_op[sel],
+                    leader_pos[event_pos[sel]],
+                    offsets,
+                    actions_flat[gather],
+                )
             )
     else:
         empty_i = np.empty(0, dtype=np.int64)
@@ -872,11 +897,6 @@ _CONTENT_MEMO: "OrderedDict[tuple, _ContentResult]" = OrderedDict()
 # to rescan.
 _CONTENT_MEMO_MAX = 2
 
-#: Private switch for the equivalence suite: when False the content pass
-#: always takes the exact uncollapsed replay (tests compare both modes;
-#: clear _CONTENT_MEMO when flipping it).
-_COLLAPSE_RUNS = True
-
 
 def _content_pass(
     prof: WorkloadProfile,
@@ -885,59 +905,77 @@ def _content_pass(
     instructions_per_core: int,
     warmup_instructions: int,
 ) -> Optional[_ContentResult]:
-    key = (
-        prof,
-        n_cores,
-        seed,
-        instructions_per_core,
-        warmup_instructions,
-        _COLLAPSE_RUNS,
-    )
+    """The memoized content pass: batched kernels, exact scalar fallback."""
+    key = (prof, n_cores, seed, instructions_per_core, warmup_instructions)
     cached = _CONTENT_MEMO.get(key)
     if cached is not None:
         _CONTENT_MEMO.move_to_end(key)
         return cached
-    result = _content_pass_uncached(
+    merged = _merge_ops(
         prof, n_cores, seed, instructions_per_core, warmup_instructions
     )
-    if result is not None:
-        _CONTENT_MEMO[key] = result
-        while len(_CONTENT_MEMO) > _CONTENT_MEMO_MAX:
-            _CONTENT_MEMO.popitem(last=False)
+    if merged is None:
+        return None  # all-L1 profile: the caller reports an all-zero result
+    replay = _batched_replay(merged)
+    if replay is None:
+        # A would-be back-invalidation breaks the per-set decomposition
+        # (and any collapsed run): take the exact scalar replay (rare:
+        # needs an LLC small enough to back-invalidate still-hot L1 lines).
+        _BATCH_STATS["fallbacks"] += 1
+        replay = _scalar_replay(merged)
+    else:
+        _BATCH_STATS["batched"] += 1
+    result = _content_result(merged, replay)
+    _CONTENT_MEMO[key] = result
+    while len(_CONTENT_MEMO) > _CONTENT_MEMO_MAX:
+        _CONTENT_MEMO.popitem(last=False)
     return result
 
 
-def _content_pass_uncached(
+@dataclass
+class _MergedOps:
+    """Every core's synthesized ops in the content pass's merged order.
+
+    The merged columns are numpy arrays over ops in deterministic
+    virtual-time order (see module docstring); both replays consume
+    them.
+    """
+
+    traces: List[_CoreTrace]
+    line: np.ndarray  #: int64 line address
+    l1_index: np.ndarray  #: int64 flat L1 set, (core << _L1_SET_BITS) | set
+    write: np.ndarray  #: bool
+    core: np.ndarray  #: int64 issuing core
+    idx: np.ndarray  #: int64 op index within the core's trace
+    #: Merged position of the last core's first at-quota op (0 without
+    #: a warm-up): LLC stats are snapshotted before that op's access.
+    boundary_pos: int
+    warm_op: List[int]  #: per core, first op index at/after the quota
+    no_warmup: bool
+    fill_lines: np.ndarray  #: LLC priming fills, in fill order
+    fill_dirty: np.ndarray
+    pf_params: Tuple[int, int, int]  #: prefetcher (streams, degree, distance)
+    base_cpi: float
+
+
+def _merge_ops(
     prof: WorkloadProfile,
     n_cores: int,
     seed: int,
     instructions_per_core: int,
     warmup_instructions: int,
-    scalar: bool = False,
-) -> Optional[_ContentResult]:
-    """One content pass; ``scalar=True`` runs the tests' scalar oracle."""
+) -> Optional[_MergedOps]:
+    """Synthesize every core's trace and merge them; ``None`` if all-L1."""
     total = warmup_instructions + instructions_per_core
     traces = [_synthesize_trace(prof, c, seed, total) for c in range(n_cores)]
     if any(t is None for t in traces):
-        return None  # all-L1 profile: the caller reports an all-zero result
-
-    l1_ways = _L1_WAYS
-    l1_bits = _L1_SET_BITS
-    l1_mask = (1 << l1_bits) - 1
-    llc_ways, llc_sets_n = _LLC_WAYS, _LLC_SETS
-    llc_mask = llc_sets_n - 1
+        return None
     fill_lines, fill_dirty = _priming_fills(
-        prof, n_cores, seed, llc_sets_n * llc_ways
+        prof, n_cores, seed, _LLC_SETS * _LLC_WAYS
     )
-    # Prefetcher stream tables: page -> [last_line, confidence, next_prefetch].
     from repro.cache.prefetcher import StreamPrefetcher
 
-    pf_proto = StreamPrefetcher()
-    pf_streams, pf_degree, pf_distance = (
-        pf_proto.n_streams,
-        pf_proto.degree,
-        pf_proto.distance,
-    )
+    pf = StreamPrefetcher()
 
     # Merged deterministic virtual-time order (see module docstring).
     all_instr = np.concatenate([t.instr_cum for t in traces])
@@ -969,747 +1007,274 @@ def _content_pass_uncached(
             for c in range(n_cores)
         )
 
-    # Merged per-op columns, precomputed in numpy.
-    np_line = np.concatenate([t.line for t in traces])[order]
-    np_l1idx = (all_core[order] << l1_bits) | (np_line & l1_mask)
-    np_write = np.concatenate([t.is_write for t in traces])[order]
-    np_core = all_core[order]
-    np_idx = all_idx[order]
-    n_merged = len(np_line)
-
-    # -- same-line run collapse ---------------------------------------
-    # Consecutive accesses to the same line within one (core, L1-set)
-    # stream are guaranteed L1 hits whose only effect is OR-ing the
-    # line's dirty bit: the leader leaves it at L1 MRU and no same-set
-    # access intervenes. Collapsing each run to its leader (carrying
-    # the run-ORed write bit) removes 65-80% of the replay loop on
-    # streaming workloads. The one thing that can break a run
-    # mid-flight is an inclusion back-invalidation from another set
-    # evicting the line; replay counts successful back-invalidations
-    # and the pass reruns the exact uncollapsed replay if any occurred
-    # (never on the default geometry, where the LLC dwarfs the L1s).
-    srt = np.argsort(np_l1idx, kind="stable")
-    same = np.zeros(n_merged, dtype=bool)
-    same[1:] = (np_l1idx[srt[1:]] == np_l1idx[srt[:-1]]) & (
-        np_line[srt[1:]] == np_line[srt[:-1]]
+    line = np.concatenate([t.line for t in traces])[order]
+    core = all_core[order]
+    return _MergedOps(
+        traces=traces,
+        line=line,
+        l1_index=(core << _L1_SET_BITS) | (line & ((1 << _L1_SET_BITS) - 1)),
+        write=np.concatenate([t.is_write for t in traces])[order],
+        core=core,
+        idx=all_idx[order],
+        boundary_pos=boundary_pos,
+        warm_op=warm_op,
+        no_warmup=warmup_instructions == 0,
+        fill_lines=fill_lines,
+        fill_dirty=fill_dirty,
+        pf_params=(pf.n_streams, pf.degree, pf.distance),
+        base_cpi=prof.base_cpi,
     )
-    follower = np.zeros(n_merged, dtype=bool)
-    follower[srt] = same
-    run_starts = np.nonzero(~same)[0]
-    eff_write = np.zeros(n_merged, dtype=np.int8)
-    eff_write[srt[run_starts]] = np.logical_or.reduceat(
-        np_write[srt], run_starts
-    )
-    leader = ~follower
 
-    def make_columns(collapse: bool):
-        """Replay columns as array.array (not list) on purpose: their
-        elements are machine values, so the cyclic GC never rescans
-        them — with multi-hundred-k lists here, every gen-2 collection
-        would walk millions of pointers and dominate the pass."""
-        if collapse:
-            sel = leader
-            write = eff_write[sel]
-            boundary = int(np.count_nonzero(leader[:boundary_pos]))
-        else:
-            sel = slice(None)
-            write = np_write.astype(np.int8)
-            boundary = boundary_pos
-        return (
-            array("q", np_line[sel].tobytes()),
-            array("q", np_l1idx[sel].tobytes()),
-            array("b", write.tobytes()),
-            array("q", np_core[sel].tobytes()),
-            array("q", np_idx[sel].tobytes()),
-            boundary,
-        )
 
+def _scalar_replay(merged: _MergedOps):
+    """The exact L1 / LLC / prefetcher replay, one merged op at a time.
+
+    The production fallback whenever :func:`_batched_replay` detects an
+    inclusion back-invalidation, and the batched replay's oracle in the
+    tests. Returns ``(counters, outcome, per-core event arrays,
+    hits_base, misses_base)``: per-core ``(op, merged pos, action
+    offsets, packed actions)`` columns and per-core ``uint8`` outcome
+    arrays, in the same form as :func:`_batched_replay`.
+    """
+    l1_ways = _L1_WAYS
+    l1_bits = _L1_SET_BITS
+    l1_mask = (1 << l1_bits) - 1
+    llc_ways = _LLC_WAYS
+    llc_mask = _LLC_SETS - 1
+    pf_streams, pf_degree, pf_distance = merged.pf_params
+    n_cores = len(merged.traces)
+    # Replay columns as array.array (not list) on purpose: their
+    # elements are machine values, so the cyclic GC never rescans them —
+    # with multi-hundred-k lists here, every gen-2 collection would walk
+    # millions of pointers and dominate the pass.
+    merged_line = array("q", merged.line.tobytes())
+    merged_l1_index = array("q", merged.l1_index.tobytes())
+    merged_write = array("b", merged.write.astype(np.int8).tobytes())
+    core_of = array("q", merged.core.tobytes())
+    idx_of = array("q", merged.idx.tobytes())
+    llc = _initial_llc_sets(merged.fill_lines, merged.fill_dirty, _LLC_SETS, llc_ways)
+    # Flat per-core L1 sets: index (core << l1_bits) | (line & l1_mask).
+    l1: List[dict] = [{} for _ in range(n_cores << l1_bits)]
+    # Prefetcher stream tables: page -> [last_line, confidence, next_prefetch].
+    pf: List[dict] = [{} for _ in range(n_cores)]
+    outcome = [bytearray(len(t.instr_cum)) for t in merged.traces]
+    events: List[List[Tuple[int, int, List[int]]]] = [[] for _ in range(n_cores)]
+    counters = {"hits": 0, "misses": 0, "incl": 0, "back_inval": 0}
     missing = object()  # dict-probe sentinel (single-lookup hit path)
 
-    def run(collapse: bool):
-        merged_line, merged_l1_index, merged_write, core_of, idx_of, boundary = (
-            make_columns(collapse)
-        )
-        llc = _initial_llc_sets(fill_lines, fill_dirty, llc_sets_n, llc_ways)
-        # Flat per-core L1 sets: index (core << l1_bits) | (line & l1_mask).
-        l1: List[dict] = [{} for _ in range(n_cores << l1_bits)]
-        pf: List[dict] = [{} for _ in range(n_cores)]
-        outcome = [bytearray(len(t.instr_cum)) for t in traces]
-        events: List[List[Tuple[int, int, List[int]]]] = [
-            [] for _ in range(n_cores)
-        ]
-        counters = {"hits": 0, "misses": 0, "incl": 0, "back_inval": 0}
-
-        def replay(start: int, end: int) -> None:
-            llc_hits = counters["hits"]
-            llc_misses = counters["misses"]
-            inclusion = counters["incl"]
-            back_inval = counters["back_inval"]
-            llc_local = llc
-            l1_local = l1
-            k = start
-            for line, l1idx, w in zip(
-                merged_line[start:end],
-                merged_l1_index[start:end],
-                merged_write[start:end],
-            ):
-                l1s = l1_local[l1idx]
-                dirty = l1s.pop(line, missing)
-                if dirty is not missing:
-                    # L1 hit: refresh LRU, OR the dirty bit (outcome
-                    # stays OUT_L1).
-                    l1s[line] = dirty or w
-                    k += 1
-                    continue
-                c = core_of[k]
-                # Stream prefetcher observes every L1 miss, before the
-                # LLC probe.
-                page = line >> 6
-                pfc = pf[c]
-                stream = pfc.pop(page, None)
-                prefetches = None
-                if stream is None:
-                    if len(pfc) >= pf_streams:
-                        del pfc[next(iter(pfc))]
-                    pfc[page] = [line, 0, line + pf_distance]
-                else:
-                    pfc[page] = stream  # LRU refresh
-                    last_line, confidence, next_prefetch = stream
-                    if line == last_line + 1:
-                        confidence = confidence + 1 if confidence < 4 else 4
-                    elif line != last_line:
-                        confidence = confidence - 1 if confidence > 0 else 0
-                    stream[0] = line
-                    stream[1] = confidence
-                    if confidence >= 2:
-                        target = (
-                            next_prefetch if next_prefetch > line + 1 else line + 1
-                        )
-                        if (target + pf_degree - 1) >> 6 == page:
-                            # Whole burst inside the page (the common case).
-                            prefetches = range(target, target + pf_degree)
-                        else:
-                            prefetches = [
-                                t
-                                for t in range(target, target + pf_degree)
-                                if t >> 6 == page
-                            ]
-                        stream[2] = target + pf_degree
-                i = idx_of[k]
-                # Actions pack as (line << 3) | code — plain ints keep
-                # the event lists GC-cheap.
-                actions: Optional[List[int]] = None
-                ls = llc_local[line & llc_mask]
-                ldirty = ls.pop(line, missing)
-                if ldirty is not missing:
-                    ls[line] = ldirty  # LRU refresh (read probe: dirty unchanged)
-                    llc_hits += 1
-                    outcome[c][i] = 1  # OUT_LLC
-                else:
-                    llc_misses += 1
-                    outcome[c][i] = 2  # OUT_DRAM
-                    actions = [line << 3]  # A_DEMAND_READ
-                    # Fill the LLC; the victim back-invalidates its
-                    # owner's L1 (address ranges are per-core disjoint,
-                    # so only the owner core can hold it) and writes
-                    # back if dirty anywhere.
-                    if len(ls) >= llc_ways:
-                        vline = next(iter(ls))
-                        vdirty = ls.pop(vline)
-                        binv = l1_local[
-                            ((vline >> 28) << l1_bits) | (vline & l1_mask)
-                        ].pop(vline, missing)
-                        if binv is not missing:
-                            back_inval += 1
-                            if binv:
-                                vdirty = True
-                        if vdirty:
-                            actions.append((vline << 3) | A_VICTIM_WRITE)
-                    ls[line] = False
-                # Fill the L1 (dirty if this is a store); a dirty L1
-                # victim touches its LLC copy (counts as an LLC hit) or
-                # — impossible under inclusion, but never silently
-                # dropped — goes to DRAM.
-                if len(l1s) >= l1_ways:
-                    vline = next(iter(l1s))
-                    if l1s.pop(vline):
-                        vs = llc_local[vline & llc_mask]
-                        if vline in vs:
-                            vs.pop(vline)
-                            vs[vline] = True
-                            llc_hits += 1
-                        else:
-                            inclusion += 1
-                            if actions is None:
-                                actions = []
-                            actions.append((vline << 3) | A_INCL_WRITE)
-                l1s[line] = w
-                if prefetches:
-                    for pline in prefetches:
-                        ps = llc_local[pline & llc_mask]
-                        if pline in ps:
-                            continue
+    def replay(start: int, end: int) -> None:
+        llc_hits = counters["hits"]
+        llc_misses = counters["misses"]
+        inclusion = counters["incl"]
+        back_inval = counters["back_inval"]
+        llc_local = llc
+        l1_local = l1
+        k = start
+        for line, l1idx, w in zip(
+            merged_line[start:end],
+            merged_l1_index[start:end],
+            merged_write[start:end],
+        ):
+            l1s = l1_local[l1idx]
+            dirty = l1s.pop(line, missing)
+            if dirty is not missing:
+                # L1 hit: refresh LRU, OR the dirty bit (outcome stays
+                # OUT_L1).
+                l1s[line] = dirty or w
+                k += 1
+                continue
+            c = core_of[k]
+            # Stream prefetcher observes every L1 miss, before the LLC
+            # probe.
+            page = line >> 6
+            pfc = pf[c]
+            stream = pfc.pop(page, None)
+            prefetches = None
+            if stream is None:
+                if len(pfc) >= pf_streams:
+                    del pfc[next(iter(pfc))]
+                pfc[page] = [line, 0, line + pf_distance]
+            else:
+                pfc[page] = stream  # LRU refresh
+                last_line, confidence, next_prefetch = stream
+                if line == last_line + 1:
+                    confidence = confidence + 1 if confidence < 4 else 4
+                elif line != last_line:
+                    confidence = confidence - 1 if confidence > 0 else 0
+                stream[0] = line
+                stream[1] = confidence
+                if confidence >= 2:
+                    target = next_prefetch if next_prefetch > line + 1 else line + 1
+                    if (target + pf_degree - 1) >> 6 == page:
+                        # Whole burst inside the page (the common case).
+                        prefetches = range(target, target + pf_degree)
+                    else:
+                        prefetches = [
+                            t for t in range(target, target + pf_degree) if t >> 6 == page
+                        ]
+                    stream[2] = target + pf_degree
+            i = idx_of[k]
+            # Actions pack as (line << 3) | code — plain ints keep the
+            # event lists GC-cheap.
+            actions: Optional[List[int]] = None
+            ls = llc_local[line & llc_mask]
+            ldirty = ls.pop(line, missing)
+            if ldirty is not missing:
+                ls[line] = ldirty  # LRU refresh (read probe: dirty unchanged)
+                llc_hits += 1
+                outcome[c][i] = 1  # OUT_LLC
+            else:
+                llc_misses += 1
+                outcome[c][i] = 2  # OUT_DRAM
+                actions = [line << 3]  # A_DEMAND_READ
+                # Fill the LLC; the victim back-invalidates its owner's
+                # L1 (address ranges are per-core disjoint, so only the
+                # owner core can hold it) and writes back if dirty
+                # anywhere.
+                if len(ls) >= llc_ways:
+                    vline = next(iter(ls))
+                    vdirty = ls.pop(vline)
+                    binv = l1_local[((vline >> 28) << l1_bits) | (vline & l1_mask)].pop(
+                        vline, missing
+                    )
+                    if binv is not missing:
+                        back_inval += 1
+                        if binv:
+                            vdirty = True
+                    if vdirty:
+                        actions.append((vline << 3) | A_VICTIM_WRITE)
+                ls[line] = False
+            # Fill the L1 (dirty if this is a store); a dirty L1 victim
+            # touches its LLC copy (counts as an LLC hit) or —
+            # impossible under inclusion, but never silently dropped —
+            # goes to DRAM.
+            if len(l1s) >= l1_ways:
+                vline = next(iter(l1s))
+                if l1s.pop(vline):
+                    vs = llc_local[vline & llc_mask]
+                    if vline in vs:
+                        vs.pop(vline)
+                        vs[vline] = True
+                        llc_hits += 1
+                    else:
+                        inclusion += 1
                         if actions is None:
                             actions = []
-                        actions.append((pline << 3) | A_PF_READ)
-                        if len(ps) >= llc_ways:
-                            pvline = next(iter(ps))
-                            pvdirty = ps.pop(pvline)
-                            pbinv = l1_local[
-                                ((pvline >> 28) << l1_bits) | (pvline & l1_mask)
-                            ].pop(pvline, missing)
-                            if pbinv is not missing:
-                                back_inval += 1
-                                if pbinv:
-                                    pvdirty = True
-                            if pvdirty:
-                                actions.append((pvline << 3) | A_PF_VICTIM_WRITE)
-                        ps[pline] = False
-                if actions:
-                    events[c].append((i, k, actions))
-                k += 1
-            counters["hits"] = llc_hits
-            counters["misses"] = llc_misses
-            counters["incl"] = inclusion
-            counters["back_inval"] = back_inval
+                        actions.append((vline << 3) | A_INCL_WRITE)
+            l1s[line] = w
+            if prefetches:
+                for pline in prefetches:
+                    ps = llc_local[pline & llc_mask]
+                    if pline in ps:
+                        continue
+                    if actions is None:
+                        actions = []
+                    actions.append((pline << 3) | A_PF_READ)
+                    if len(ps) >= llc_ways:
+                        pvline = next(iter(ps))
+                        pvdirty = ps.pop(pvline)
+                        pbinv = l1_local[
+                            ((pvline >> 28) << l1_bits) | (pvline & l1_mask)
+                        ].pop(pvline, missing)
+                        if pbinv is not missing:
+                            back_inval += 1
+                            if pbinv:
+                                pvdirty = True
+                        if pvdirty:
+                            actions.append((pvline << 3) | A_PF_VICTIM_WRITE)
+                    ps[pline] = False
+            if actions:
+                events[c].append((i, k, actions))
+            k += 1
+        counters["hits"] = llc_hits
+        counters["misses"] = llc_misses
+        counters["incl"] = inclusion
+        counters["back_inval"] = back_inval
 
-        n_ops = len(merged_line)
-        if warmup_instructions == 0:
-            hits_base = misses_base = 0
-            replay(0, n_ops)
-        else:
-            replay(0, boundary)
-            hits_base, misses_base = counters["hits"], counters["misses"]
-            replay(boundary, n_ops)
-        return counters, outcome, events, hits_base, misses_base, boundary
+    boundary = merged.boundary_pos
+    replay(0, boundary)
+    hits_base, misses_base = counters["hits"], counters["misses"]
+    replay(boundary, len(merged_line))
 
-    batched = None
-    if not scalar:
-        if _COLLAPSE_RUNS:
-            sel = leader
-            col_write = eff_write[sel] != 0
-            col_boundary = int(np.count_nonzero(leader[:boundary_pos]))
-        else:
-            sel = slice(None)
-            col_write = np_write
-            col_boundary = boundary_pos
-        batched = _batched_replay(
-            np_line[sel],
-            np_l1idx[sel],
-            col_write,
-            np_core[sel],
-            np_idx[sel],
-            col_boundary,
-            [len(t.instr_cum) for t in traces],
-            fill_lines,
-            fill_dirty,
-            (pf_streams, pf_degree, pf_distance),
-        )
-    if batched is not None:
-        _BATCH_STATS["batched"] += 1
-        counters, outcome, raw_events, hits_base, misses_base = batched
-        boundary_used = col_boundary
-    elif not scalar:
-        # A would-be back-invalidation breaks the per-set decomposition
-        # (and any collapsed run): take the exact uncollapsed scalar
-        # replay directly (rare: needs an LLC small enough to
-        # back-invalidate still-hot L1 lines).
-        _BATCH_STATS["fallbacks"] += 1
-        counters, outcome, raw_events, hits_base, misses_base, boundary_used = run(
-            False
-        )
-    else:
-        counters, outcome, raw_events, hits_base, misses_base, boundary_used = run(
-            _COLLAPSE_RUNS
-        )
-        if _COLLAPSE_RUNS and counters["back_inval"]:
-            # A collapsed run may have been broken mid-flight; the exact
-            # uncollapsed replay settles it.
+    columns = []
+    for evs in events:
+        offsets = np.zeros(len(evs) + 1, dtype=np.int64)
+        if evs:
+            np.cumsum([len(e[2]) for e in evs], out=offsets[1:])
+        columns.append(
             (
-                counters,
-                outcome,
-                raw_events,
-                hits_base,
-                misses_base,
-                boundary_used,
-            ) = run(False)
-    llc_hits, llc_misses = counters["hits"], counters["misses"]
-    inclusion_writebacks = counters["incl"]
+                [e[0] for e in evs],
+                [e[1] for e in evs],
+                offsets,
+                [a for e in evs for a in e[2]],
+            )
+        )
+    outcome_arrays = [np.frombuffer(o, dtype=np.uint8) for o in outcome]
+    return counters, outcome_arrays, columns, hits_base, misses_base
+
+
+def _content_result(merged: _MergedOps, replay) -> _ContentResult:
+    """Per-core timelines and event tables from either replay's output."""
+    counters, outcome, raw_events, hits_base, misses_base = replay
+    traces = merged.traces
 
     # Per-core stall-free timelines: each op advances the clock by
     # gap * cpi (before the access) plus cpi (dispatch) plus, for
     # serializing loads with constant latency, that latency. DRAM
     # latencies and window stalls are applied by the timing pass.
-    cpi = prof.base_cpi
+    cpi = merged.base_cpi
     l1_lat = float(CacheHierarchy.L1_HIT_CYCLES)
     llc_lat = float(CacheHierarchy.L1_HIT_CYCLES + CacheHierarchy.LLC_HIT_CYCLES)
+    rob = CoreConfig().rob_entries
     check_time: List[array] = []
-    check_np: List[np.ndarray] = []
     final_time: List[float] = []
+    core_events: List[_CoreEvents] = []
     for c, trace in enumerate(traces):
         serial_load = trace.serializing & ~trace.is_write
-        out_arr = outcome[c]
-        if not isinstance(out_arr, np.ndarray):
-            out_arr = np.frombuffer(out_arr, dtype=np.uint8)
         const_lat = np.where(
-            serial_load & (out_arr == OUT_L1),
+            serial_load & (outcome[c] == OUT_L1),
             l1_lat,
-            np.where(serial_load & (out_arr == OUT_LLC), llc_lat, 0.0),
+            np.where(serial_load & (outcome[c] == OUT_LLC), llc_lat, 0.0),
         )
         post = cpi + const_lat
         pre = trace.gap * cpi
         incl = np.cumsum(pre + post)
         check = incl - post
-        check_np.append(check)
         check_time.append(array("d", check.tobytes()))
         final_time.append(float(incl[-1]))
-
-    # Structured per-core event tables (both replay modes feed the same
-    # builder: the batched replay hands over arrays, the scalar replay
-    # legacy (op, pos, actions) tuples).
-    rob = CoreConfig().rob_entries
-    core_events: List[_CoreEvents] = []
-    for c, trace in enumerate(traces):
-        if batched is not None:
-            op_a, pos_a, off_a, act_a = raw_events[c]
-        else:
-            evs = raw_events[c]
-            op_a = [e[0] for e in evs]
-            pos_a = [e[1] for e in evs]
-            off_a = np.zeros(len(evs) + 1, dtype=np.int64)
-            if evs:
-                np.cumsum([len(e[2]) for e in evs], out=off_a[1:])
-            act_a = [a for e in evs for a in e[2]]
         core_events.append(
             _build_core_events(
-                op_a,
-                pos_a,
-                off_a,
-                act_a,
-                check_np[c],
+                *raw_events[c],
+                check,
                 trace.instr_cum,
                 trace.is_write,
                 trace.serializing,
-                boundary_used,
+                merged.boundary_pos,
                 rob,
             )
         )
 
     return _ContentResult(
-        n_cores=n_cores,
+        n_cores=len(traces),
         base_cpi=cpi,
         instr=[array("q", t.instr_cum.tobytes()) for t in traces],
         serializing=[t.serializing for t in traces],
         is_write=[t.is_write for t in traces],
         check_time=check_time,
         final_time=final_time,
-        warm_op=warm_op,
+        warm_op=merged.warm_op,
         events=core_events,
-        boundary_pos=boundary_used,
-        no_warmup=warmup_instructions == 0,
-        llc_hits_window=llc_hits - hits_base,
-        llc_misses_window=llc_misses - misses_base,
-        n_ops=n_merged,
-        inclusion_writebacks=inclusion_writebacks,
+        boundary_pos=merged.boundary_pos,
+        no_warmup=merged.no_warmup,
+        llc_hits_window=counters["hits"] - hits_base,
+        llc_misses_window=counters["misses"] - misses_base,
+        n_ops=len(merged.line),
+        inclusion_writebacks=counters["incl"],
         coords={},
     )
 
 
-# -- the inlined memory controller ------------------------------------------------
-
-# DDR4-3200 timings as plain module floats. The A/B suite in
-# tests/test_perf_fastpath.py pins _FastController bit-identical to
-# MemoryController, so these cannot drift from repro.dram.timing.
-_tRRD = float(DDR4_3200.tRRD)
-_tFAW = float(DDR4_3200.tFAW)
-_tRP = float(DDR4_3200.tRP)
-_tRCD = float(DDR4_3200.tRCD)
-_tCCD = float(DDR4_3200.tCCD)
-_tRAS = float(DDR4_3200.tRAS)
-_tBL = float(DDR4_3200.tBL)
-_tRFC = float(DDR4_3200.tRFC)
-_tREFI = float(DDR4_3200.tREFI)
-_HIT_CYCLES = float(DDR4_3200.row_hit_cycles)
-_MISS_CYCLES = float(DDR4_3200.row_miss_cycles)
-_CONFLICT_CYCLES = float(DDR4_3200.row_conflict_cycles)
-
-
-class _FastController:
-    """The scalar :class:`MemoryController` inlined on dicts/lists/heaps.
-
-    Same admission, watermark, pacing, refresh and bank state-machine
-    arithmetic in the same operation order as the reference controller
-    (Table II open-page DDR4-3200, default address map), so responses and
-    stats are **bit-identical** — the A/B tests drive both over
-    adversarial request streams and assert exact equality, and the whole
-    timing pass reproduces the same SystemResult on either. It exists
-    because the reference's per-request method-call/dataclass overhead is
-    the timing pass's dominant cost; the DRAM physics is unchanged.
-    """
-
-    __slots__ = (
-        "reads",
-        "writes",
-        "row_hits",
-        "row_misses",
-        "row_conflicts",
-        "total_read_latency",
-        "refreshes",
-        "write_drains",
-        "_banks",
-        "_bus_free_at",
-        "_rank_acts",
-        "_inflight_reads",
-        "_write_queue",
-        "_write_inflight",
-        "_write_draining",
-        "_next_refresh",
-        "_coords",
-    )
-
-    def __init__(self, coords: Optional[Dict[int, int]] = None) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
-        self.total_read_latency = 0.0
-        self.refreshes = 0
-        self.write_drains = 0
-        #: bank key -> [open_row (None = precharged), ready_at, ras_done_at]
-        self._banks: Dict[int, list] = {}
-        self._bus_free_at = 0.0
-        self._rank_acts: Dict[int, List[float]] = {}
-        self._inflight_reads: List[float] = []
-        self._write_queue: deque = deque()
-        self._write_inflight: List[float] = []
-        self._write_draining = False
-        self._next_refresh = _tREFI
-        #: address -> (row << 6) | (bank key << 1) | rank; the mapping
-        #: is pure, so callers may share one memo across controllers.
-        self._coords: Dict[int, int] = {} if coords is None else coords
-
-    def read(self, address: int, now: float) -> float:
-        """MemoryController.read, returning the data-burst end time.
-
-        Completion times are strictly increasing (the data bus
-        serializes bursts: each ends at least tBL after the previous),
-        so the inflight queues are plain sorted lists — append instead
-        of heappush, prefix delete instead of heappop, same contents at
-        every step as the reference controller's heap.
-        """
-        inflight = self._inflight_reads
-        retire = 0
-        n_inflight = len(inflight)
-        while retire < n_inflight and inflight[retire] <= now:
-            retire += 1
-        if retire:
-            del inflight[:retire]
-            n_inflight -= retire
-        if n_inflight >= 64:  # READ_QUEUE_ENTRIES
-            freed = inflight[0]
-            del inflight[0]
-            if freed > now:
-                now = freed
-            while inflight and inflight[0] <= now:
-                del inflight[0]
-        if now >= self._next_refresh:
-            self._refresh(now)
-        # _access inlined (the single-access hot path; the write paths
-        # below call the method — flushes amortize the call overhead).
-        packed = self._coords.get(address)
-        if packed is None:
-            x = address >> 13
-            bank_bits = x & 15
-            x >>= 4
-            rank = x & 1
-            x >>= 1
-            h = 0
-            fold = x
-            while fold:
-                h ^= fold & 15
-                fold >>= 4
-            packed = (
-                ((x & 0xFFFF) << 6) | (((rank << 4) | (bank_bits ^ h)) << 1) | rank
-            )
-            self._coords[address] = packed
-        rank = packed & 1
-        key = (packed >> 1) & 31
-        row = packed >> 6
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = [None, 0.0, 0.0]
-            self._banks[key] = bank
-        # `at` is the access-time cursor (_access's local `now`): ACT
-        # pacing advances it without touching the latency base `now`.
-        at = now
-        open_row = bank[0]
-        if open_row != row:
-            acts = self._rank_acts.get(rank)
-            if acts:
-                paced = acts[-1] + _tRRD
-                if paced > at:
-                    at = paced
-                if len(acts) >= 4:
-                    paced = acts[-4] + _tFAW
-                    if paced > at:
-                        at = paced
-        ready = bank[1]
-        start = at if at > ready else ready
-        if open_row == row:
-            self.row_hits += 1
-            data_at = start + _HIT_CYCLES
-            bank[1] = start + _tCCD
-        else:
-            if open_row is None:
-                self.row_misses += 1
-                act_at = start
-                data_at = start + _MISS_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRAS
-                bank[1] = start + _tRCD + _tCCD
-            else:
-                self.row_conflicts += 1
-                ras_done = bank[2]
-                if ras_done > start:
-                    start = ras_done
-                act_at = start + _tRP
-                data_at = start + _CONFLICT_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRP + _tRAS
-                bank[1] = start + _tRP + _tRCD + _tCCD
-            acts = self._rank_acts.get(rank)
-            if acts is None:
-                self._rank_acts[rank] = [act_at]
-            else:
-                acts.append(act_at)
-                if len(acts) > 4:
-                    del acts[: len(acts) - 4]
-        burst_start = data_at - _tBL
-        bus_free = self._bus_free_at
-        if bus_free > burst_start:
-            burst_start = bus_free
-        data_at = burst_start + _tBL
-        self._bus_free_at = data_at
-        inflight.append(data_at)  # sorted: data_at > every earlier completion
-        self.reads += 1
-        self.total_read_latency += data_at - now
-        return data_at
-
-    def write(self, address: int, now: float) -> float:
-        """MemoryController.write (posted queue, 48/16 watermark drain)."""
-        self.writes += 1
-        if now >= self._next_refresh:
-            self._refresh(now)
-        inflight = self._write_inflight
-        retire = 0
-        n_inflight = len(inflight)
-        while retire < n_inflight and inflight[retire] <= now:
-            retire += 1
-        if retire:
-            del inflight[:retire]
-        queue = self._write_queue
-        if self._write_draining and len(queue) + len(inflight) <= 16:
-            self._write_draining = False  # WRITE_DRAIN_LOW reached
-        if len(queue) + len(inflight) >= 64:  # WRITE_QUEUE_ENTRIES
-            while queue:
-                inflight.append(self._access(queue.popleft(), now))
-            if len(inflight) >= 64:
-                freed = inflight[0]
-                del inflight[0]
-                if freed > now:
-                    now = freed
-                while inflight and inflight[0] <= now:
-                    del inflight[0]
-        queue.append(address)
-        if not self._write_draining and len(queue) + len(inflight) >= 48:
-            self._write_draining = True  # WRITE_DRAIN_HIGH crossed
-            self.write_drains += 1
-        if self._write_draining:
-            while queue:
-                inflight.append(self._access(queue.popleft(), now))
-        return now
-
-    def _access(self, address: int, now: float) -> float:
-        packed = self._coords.get(address)
-        if packed is None:
-            # AddressMapper.map for the default geometry (64B lines, 128
-            # columns/row, 16 banks, 2 ranks, 65536 rows, XOR bank hash).
-            x = address >> 13
-            bank = x & 15
-            x >>= 4
-            rank = x & 1
-            x >>= 1
-            h = 0
-            fold = x
-            while fold:
-                h ^= fold & 15
-                fold >>= 4
-            packed = ((x & 0xFFFF) << 6) | (((rank << 4) | (bank ^ h)) << 1) | rank
-            self._coords[address] = packed
-        rank = packed & 1
-        key = (packed >> 1) & 31
-        row = packed >> 6
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = [None, 0.0, 0.0]
-            self._banks[key] = bank
-        open_row = bank[0]
-        if open_row != row:
-            # This access needs an ACT: honour the rank's tRRD/tFAW pacing.
-            acts = self._rank_acts.get(rank)
-            if acts:
-                paced = acts[-1] + _tRRD
-                if paced > now:
-                    now = paced
-                if len(acts) >= 4:
-                    paced = acts[-4] + _tFAW
-                    if paced > now:
-                        now = paced
-        ready = bank[1]
-        start = now if now > ready else ready
-        if open_row == row:
-            self.row_hits += 1
-            data_at = start + _HIT_CYCLES
-            bank[1] = start + _tCCD
-        else:
-            if open_row is None:
-                self.row_misses += 1
-                act_at = start
-                data_at = start + _MISS_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRAS
-                bank[1] = start + _tRCD + _tCCD
-            else:
-                self.row_conflicts += 1
-                ras_done = bank[2]
-                if ras_done > start:
-                    start = ras_done
-                # The ACT can only issue once the precharge completes.
-                act_at = start + _tRP
-                data_at = start + _CONFLICT_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRP + _tRAS
-                bank[1] = start + _tRP + _tRCD + _tCCD
-            # Pace the window from the instant the ACT actually issued.
-            acts = self._rank_acts.get(rank)
-            if acts is None:
-                self._rank_acts[rank] = [act_at]
-            else:
-                acts.append(act_at)
-                if len(acts) > 4:
-                    del acts[: len(acts) - 4]
-        # Bus serialization: the data burst occupies the bus for tBL.
-        burst_start = data_at - _tBL
-        bus_free = self._bus_free_at
-        if bus_free > burst_start:
-            burst_start = bus_free
-        data_at = burst_start + _tBL
-        self._bus_free_at = data_at
-        return data_at
-
-    def _refresh(self, now: float) -> None:
-        while now >= self._next_refresh:
-            at = self._next_refresh
-            for bank in self._banks.values():
-                # Bank.precharge(at), then unavailable for tRFC.
-                bank[0] = None
-                ras_done = bank[2]
-                floor = (ras_done if ras_done > at else at) + _tRP
-                ready = bank[1]
-                if floor > ready:
-                    ready = floor
-                after = at + _tRFC
-                bank[1] = after if after > ready else ready
-            self.refreshes += 1
-            self._next_refresh = at + _tREFI
-
-
-class _ReferenceControllerAdapter:
-    """Drives the scalar :class:`MemoryController` behind the same API.
-
-    Only the A/B equivalence tests use it: the timing pass run on either
-    controller implementation must produce bit-identical results.
-    """
-
-    def __init__(self) -> None:
-        self._controller = MemoryController()
-
-    def read(self, address: int, now: float) -> float:
-        return self._controller.read(address, now).data_ready_time
-
-    def write(self, address: int, now: float) -> float:
-        return self._controller.write(address, now)
-
-    def __getattr__(self, name: str):
-        return getattr(self._controller.stats, name)
-
-
 # -- pass 3: per-organization sparse timing --------------------------------------
-
-
-class _CoreTiming:
-    """One core's clock in the sparse timing pass.
-
-    ``check_time[i] + correction`` is the core's clock at op ``i``'s
-    access; ``correction`` accumulates DRAM latencies of serializing
-    loads and ROB-window stalls, each resolved at the op where it lands
-    (stalls at an outstanding load's precomputed window-crossing op).
-    """
-
-    __slots__ = (
-        "check_time",
-        "instr",
-        "events",
-        "event_pos",
-        "correction",
-        "outstanding",
-        "warm_op",
-        "start_cycle",
-        "marked",
-        "n_ops",
-    )
-
-    def __init__(self, check_time, instr, events, warm_op, premarked):
-        self.check_time = check_time
-        self.instr = instr
-        self.events = events
-        self.event_pos = 0
-        self.correction = 0.0
-        self.outstanding: deque = deque()
-        self.warm_op = warm_op
-        self.start_cycle = 0.0
-        # With no warm-up the reference never reassigns start_cycles;
-        # otherwise the mark lands at the first at-quota op (even op 0).
-        self.marked = premarked
-        self.n_ops = len(check_time)
-
-    def advance(self, upto: int) -> None:
-        """Resolve window stalls (and the warm-up mark) through op ``upto``."""
-        out = self.outstanding
-        check = self.check_time
-        while out and out[0][0] <= upto:
-            crossing, completion = out.popleft()
-            if not self.marked and self.warm_op < crossing:
-                # The mark precedes this stall point (stalls at the mark
-                # op itself apply first: drain happens before marking).
-                self.start_cycle = check[self.warm_op] + self.correction
-                self.marked = True
-            at = check[crossing] + self.correction
-            if completion > at:
-                self.correction += completion - at
-        if not self.marked and self.warm_op <= upto:
-            self.start_cycle = check[self.warm_op] + self.correction
-            self.marked = True
-
-    def next_event_time(self) -> Optional[float]:
-        """Clock of the next controller event, or None when drained."""
-        if self.event_pos < len(self.events):
-            op = self.events[self.event_pos][0]
-            self.advance(op)
-            return self.check_time[op] + self.correction
-        self.advance(self.n_ops - 1)
-        return None
 
 
 def _zero_result(prof: WorkloadProfile, organization, config) -> SystemResult:
@@ -1728,167 +1293,11 @@ def _zero_result(prof: WorkloadProfile, organization, config) -> SystemResult:
     )
 
 
-def _legacy_events(table: _CoreEvents) -> List[Tuple[int, int, List[int]]]:
-    """A :class:`_CoreEvents` table as the scalar tick's legacy tuples."""
-    off = table.act_off
-    actions = table.actions
-    return [
-        (table.op[j], table.pos[j], actions[off[j] : off[j + 1]])
-        for j in range(table.n_ev)
-    ]
-
-
-def _timing_scalar(content: _ContentResult, organization, controller):
-    """The original per-event heap walk (``_timing_pass(scalar=True)``).
-
-    Runs only in tests, as the batched tick's equivalence oracle: both
-    walks must produce bit-identical results over the same content and
-    controller (``tests/test_perf_batched.py`` pins it).
-    """
-    cpi = content.base_cpi
-    rob = CoreConfig().rob_entries
-    l1_llc_lat = float(
-        CacheHierarchy.L1_HIT_CYCLES + CacheHierarchy.LLC_HIT_CYCLES
-    )
-    tail = organization.read_tail_cpu_cycles
-    extra_read = organization.extra_read_per_read
-    extra_write = organization.extra_write_per_writeback
-    meta_address = organization.metadata_address
-    cpm = CPU_CYCLES_PER_MEM_CYCLE
-
-    dram_reads = 0
-    dram_writes = 0
-    backpressure_stalls = 0
-    # Metadata MSHR coalescing / write-queue merging, exactly as in
-    # CacheHierarchy (_meta_read / _dram_write).
-    meta_inflight: "OrderedDict[int, float]" = OrderedDict()
-    meta_recent: "OrderedDict[int, float]" = OrderedDict()
-    merge_window = 1000.0  # CacheHierarchy._META_WRITE_MERGE_WINDOW
-
-    premarked = content.no_warmup
-    events = [_legacy_events(table) for table in content.events]
-    cores = [
-        _CoreTiming(
-            content.check_time[c],
-            content.instr[c],
-            events[c],
-            content.warm_op[c],
-            premarked,
-        )
-        for c in range(content.n_cores)
-    ]
-
-    def snapshot() -> Dict[str, float]:
-        return {
-            "dram_reads": dram_reads,
-            "dram_writes": dram_writes,
-            "row_hits": controller.row_hits,
-            "row_misses": controller.row_misses,
-            "row_conflicts": controller.row_conflicts,
-            "reads": controller.reads,
-            "read_latency": controller.total_read_latency,
-        }
-
-    warmup_events = sum(table.n_warm for table in content.events)
-    base = snapshot() if warmup_events == 0 else None
-
-    heap: List[Tuple[float, int]] = []
-    for c, core in enumerate(cores):
-        t = core.next_event_time()
-        if t is not None:
-            heap.append((t, c))
-    heapq.heapify(heap)
-
-    cread = controller.read
-    cwrite = controller.write
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    while heap:
-        now_cpu, c = heappop(heap)
-        core = cores[c]
-        op, merged_pos, actions = core.events[core.event_pos]
-        core.event_pos += 1
-        now_mem = now_cpu / cpm
-        demand_latency = 0.0
-        stall = 0.0
-        for packed in actions:
-            code = packed & 7
-            address = (packed >> 3) << 6
-            if code == A_DEMAND_READ or code == A_PF_READ:
-                ready = cread(address, now_mem)
-                dram_reads += 1
-                if extra_read:
-                    maddr = meta_address(address)
-                    completion = meta_inflight.get(maddr)
-                    if completion is None or completion <= now_mem:
-                        completion = cread(maddr, now_mem)
-                        dram_reads += 1
-                        meta_inflight[maddr] = completion
-                        meta_inflight.move_to_end(maddr)
-                        while len(meta_inflight) > 8:
-                            meta_inflight.popitem(last=False)
-                    ready = max(ready, completion)
-                if code == A_DEMAND_READ:
-                    demand_latency = (ready - now_mem) * cpm + tail
-            else:  # the three writeback flavours
-                accepted = cwrite(address, now_mem)
-                dram_writes += 1
-                if extra_write:
-                    maddr = meta_address(address)
-                    last = meta_recent.get(maddr)
-                    if last is None or now_mem - last >= merge_window:
-                        accepted = max(accepted, cwrite(maddr, now_mem))
-                        dram_writes += 1
-                        meta_recent[maddr] = now_mem
-                        meta_recent.move_to_end(maddr)
-                        while len(meta_recent) > 32:
-                            meta_recent.popitem(last=False)
-                if code == A_VICTIM_WRITE:
-                    stall = (accepted - now_mem) * cpm
-                    if stall:
-                        backpressure_stalls += 1
-        if merged_pos < content.boundary_pos:
-            warmup_events -= 1
-            if warmup_events == 0:
-                base = snapshot()
-        # The op's own timing (stores discard their latency entirely; the
-        # demand-victim backpressure stall rides the load's latency).
-        if not content.is_write[c][op] and demand_latency:
-            latency = l1_llc_lat + demand_latency + stall
-            if content.serializing[c][op]:
-                core.correction += latency
-            else:
-                crossing = bisect_left(core.instr, core.instr[op] + rob)
-                if crossing < core.n_ops:
-                    core.outstanding.append((crossing, now_cpu + cpi + latency))
-        # Inlined next_event_time: the common case (no pending stalls,
-        # warm-up mark placed) skips both method calls.
-        pos = core.event_pos
-        evs = core.events
-        if pos < len(evs):
-            nop = evs[pos][0]
-            if core.outstanding or not core.marked:
-                core.advance(nop)
-            heappush(heap, (core.check_time[nop] + core.correction, c))
-        elif core.outstanding or not core.marked:
-            core.advance(core.n_ops - 1)
-
-    if base is None:
-        base = snapshot()
-    measured = []
-    for c, core in enumerate(cores):
-        # next_event_time already drained the event list and resolved all
-        # remaining stalls/marks through the final op.
-        measured.append(content.final_time[c] + core.correction - core.start_cycle)
-    return measured, base, snapshot(), backpressure_stalls
-
-
 def _timing_batched(content: _ContentResult, organization, controller):
     """The structured-array event tick (the production timing pass).
 
-    The same walk as :func:`_timing_scalar` with every per-event
-    derivation — stall-free base clock, ROB window-crossing op, event
+    The same walk as the per-event heap walk kept as its oracle in
+    ``tests/perf_oracle.py``, with every per-event derivation — stall-free base clock, ROB window-crossing op, event
     kind, warm-up membership — precomputed by the content pass into the
     :class:`_CoreEvents` tables, so the tick touches one table row per
     event instead of re-deriving them (bisect, numpy bool indexing) per
@@ -2076,18 +1485,25 @@ def _timing_pass(
     organization,
     config,
     diagnostics: Optional[dict] = None,
-    reference_controller: bool = False,
-    scalar: bool = False,
 ) -> SystemResult:
-    controller = (
-        _ReferenceControllerAdapter()
-        if reference_controller
-        else _FastController(content.coords)
+    controller = MemoryController(content.coords)
+    walk = _timing_batched(content, organization, controller)
+    return _timing_result(
+        content, prof, organization, config, controller, walk, diagnostics
     )
-    runner = _timing_scalar if scalar else _timing_batched
-    measured, base, now, backpressure_stalls = runner(
-        content, organization, controller
-    )
+
+
+def _timing_result(
+    content: _ContentResult,
+    prof: WorkloadProfile,
+    organization,
+    config,
+    controller,
+    walk,
+    diagnostics: Optional[dict] = None,
+) -> SystemResult:
+    """The :class:`SystemResult` of one timing walk over ``controller``."""
+    measured, base, now, backpressure_stalls = walk
     delta = {key: now[key] - base[key] for key in now}
     llc_total = content.llc_hits_window + content.llc_misses_window
     row_total = delta["row_hits"] + delta["row_misses"] + delta["row_conflicts"]

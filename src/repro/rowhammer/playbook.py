@@ -75,6 +75,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core import registry
+from repro.dram.timing import max_activations_per_refresh_window
 from repro.rowhammer.attacks import (
     EDGE_POLICIES,
     AttackPattern,
@@ -104,10 +105,28 @@ PLAYBOOK_VERSION = 1
 FILL_BYTE = b"\xa5"
 INVERTED_FILL_BYTE = b"\x5a"
 
+#: Largest row weight (a repeat count within a phase): no row can be
+#: activated more often than one refresh window's activation budget.
+MAX_ROW_WEIGHT = max_activations_per_refresh_window()
+
 
 # ---------------------------------------------------------------------------
 # Spec dataclasses + dict round-trip
 # ---------------------------------------------------------------------------
+
+
+def _check_int(value, what: str, optional: bool = False) -> None:
+    """Malformed documents fail as ``ValueError``, never ``TypeError``."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _entries(value, what: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -124,8 +143,13 @@ class RowSpec:
                 "a row spec needs exactly one of 'offset' (relative to the "
                 f"base row) or 'row' (absolute); got {self!r}"
             )
-        if self.weight < 0:
-            raise ValueError(f"row weight must be >= 0, got {self.weight}")
+        _check_int(self.offset, "row offset", optional=True)
+        _check_int(self.row, "row", optional=True)
+        _check_int(self.weight, "row weight")
+        if not 0 <= self.weight <= MAX_ROW_WEIGHT:
+            raise ValueError(
+                f"row weight must be in [0, {MAX_ROW_WEIGHT}], got {self.weight}"
+            )
 
     def resolve(self, base_row: int) -> int:
         return self.row if self.row is not None else base_row + self.offset
@@ -151,6 +175,7 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("a phase needs at least one row")
+        _check_int(self.reads, "phase reads", optional=True)
 
     def to_dict(self) -> dict:
         return {
@@ -183,11 +208,20 @@ class PlaybookSpec:
             raise ValueError(f"playbook {self.name!r} has no phases")
         if not self.victims:
             raise ValueError(f"playbook {self.name!r} names no victims")
+        if not isinstance(self.summary, str):
+            raise ValueError(f"playbook {self.name!r}: summary must be a string")
         if self.edge_policy not in EDGE_POLICIES:
             raise ValueError(
                 f"playbook {self.name!r}: unknown edge policy "
                 f"{self.edge_policy!r}; known: {', '.join(EDGE_POLICIES)}"
             )
+        _check_int(self.base_row, f"playbook {self.name!r}: base_row", optional=True)
+        _check_int(self.n_rows, f"playbook {self.name!r}: n_rows", optional=True)
+        if self.n_rows is not None and self.n_rows < 1:
+            raise ValueError(
+                f"playbook {self.name!r}: n_rows must be >= 1, got {self.n_rows}"
+            )
+        _check_int(self.min_fill, f"playbook {self.name!r}: min_fill")
         if self.min_fill < 1:
             raise ValueError(
                 f"playbook {self.name!r}: min_fill must be >= 1, "
@@ -215,6 +249,9 @@ class PlaybookSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "PlaybookSpec":
+        """Validate a playbook document; malformed input raises ``ValueError``."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"a playbook must be a mapping, got {payload!r}")
         unknown = sorted(set(payload) - set(cls._FIELDS))
         if unknown:
             raise ValueError(
@@ -224,13 +261,20 @@ class PlaybookSpec:
         name = payload.get("name", "")
         phases = tuple(
             _phase_from_dict(name, index, entry)
-            for index, entry in enumerate(payload.get("phases", ()))
+            for index, entry in enumerate(
+                _entries(payload.get("phases", ()), f"playbook {name!r}: phases")
+            )
         )
         victims = tuple(
-            _row_from_entry(entry) for entry in payload.get("victims", ())
+            _row_from_entry(entry)
+            for entry in _entries(
+                payload.get("victims", ()), f"playbook {name!r}: victims"
+            )
         )
         sweep_payload = payload.get("sweep", {})
-        if not isinstance(sweep_payload, Mapping):
+        if not isinstance(sweep_payload, Mapping) or not all(
+            isinstance(path, str) for path in sweep_payload
+        ):
             raise ValueError(
                 f"playbook {name!r}: 'sweep' must map dotted paths to "
                 "value lists"
@@ -309,8 +353,9 @@ def _phase_from_dict(name: str, index: int, entry) -> PhaseSpec:
             f"playbook {name!r}: unknown phase field(s) "
             f"{', '.join(unknown)}; known: rows, reads, restart"
         )
+    rows = _entries(entry.get("rows", ()), f"playbook {name!r}: phase {index} rows")
     return PhaseSpec(
-        rows=tuple(_row_from_entry(row) for row in entry.get("rows", ())),
+        rows=tuple(_row_from_entry(row) for row in rows),
         reads=entry.get("reads"),
         restart=bool(entry.get("restart", False)),
     )

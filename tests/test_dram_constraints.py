@@ -6,6 +6,7 @@ from repro.dram.timing import (
     DDR4_3200,
     max_activations_per_refresh_window,
 )
+from tests.test_dram import _address
 
 
 class TestTimingDerivations:
@@ -26,71 +27,53 @@ class TestTimingDerivations:
 
 class TestActivationPacing:
     def test_trrd_spaces_back_to_back_acts(self):
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         # Two row misses in different banks, same rank, same instant.
         a = mc.read(0, 0.0)
         b = mc.read(1 << 13, 0.0)  # next bank, same rank (row region)
         # The second ACT cannot start before tRRD after the first.
-        assert b.data_ready_time >= a.data_ready_time - DDR4_3200.tBL + DDR4_3200.tRRD
+        assert b >= a - DDR4_3200.tBL + DDR4_3200.tRRD
 
     def test_tfaw_limits_burst_of_activations(self):
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         times = []
-        for _ in range(8):
-            t = mc._admit_activation(0, 0.0)
-            mc._record_activation(0, t)  # ACT issues right at the floor
-            times.append(t)
+        for bank in range(8):
+            mc.read(_address(0, bank, 0), 0.0)  # a miss: ACT at the floor
+            times.append(mc._rank_acts[0][-1])
         # The 5th ACT waits for the tFAW window of the 1st.
         assert times[4] >= times[0] + DDR4_3200.tFAW
         assert times[7] >= times[3] + DDR4_3200.tFAW
 
     def test_row_hits_not_paced(self):
-        mc = MemoryController(enable_refresh=False)
-        first = mc.read(0, 0.0)
-        now = first.data_ready_time
-        hits = []
+        mc = MemoryController()
+        now = mc.read(0, 0.0)
         for i in range(1, 6):
-            response = mc.read(i * 64, now)
-            hits.append(response.row_result)
-            now = response.data_ready_time
-        assert all(kind == "hit" for kind in hits)
+            now = mc.read(i * 64, now)
+        assert (mc.row_hits, mc.row_misses, mc.row_conflicts) == (5, 1, 0)
 
     def test_ranks_paced_independently(self):
-        mc = MemoryController(enable_refresh=False)
-        for _ in range(5):
-            t = mc._admit_activation(0, 0.0)
-            mc._record_activation(0, t)
+        mc = MemoryController()
+        for bank in range(5):
+            mc.read(_address(0, bank, 0), 0.0)
         # Rank 1 is unaffected by rank 0's tFAW window.
-        assert mc._admit_activation(1, 0.0) == 0.0
+        mc.read(_address(1, 0, 0), 0.0)
+        assert mc._rank_acts[1] == [0.0]
 
     def test_pacing_measured_from_actual_act_issue_time(self):
         """A conflicting bank issues its ACT only after tRAS + tRP; the
         rank's tRRD window must be measured from that actual instant, not
         from the (much earlier) admitted time."""
         t = DDR4_3200
-        mc = MemoryController(enable_refresh=False)
-        mapper = mc.mapper
-        c0 = mapper.map(0)
-        conflict_addr = next(
-            a
-            for a in range(64, 1 << 26, 64)
-            if (lambda c: c.rank == c0.rank and c.bank == c0.bank and c.row != c0.row)(
-                mapper.map(a)
-            )
-        )
-        mc.read(0, 0.0)  # miss: ACT at 0
-        mc.read(conflict_addr, 0.0)  # conflict: PRE waits for tRAS, ACT after tRP
-        acts = mc._rank_acts[c0.rank]
-        assert acts[0] == 0.0
+        mc = MemoryController()
+        mc.read(_address(0, 0, 0), 0.0)  # miss: ACT at 0
+        # Same bank, other row: PRE waits for tRAS, ACT after tRP.
+        mc.read(_address(0, 0, 1), 0.0)
+        first, conflict = mc._rank_acts[0]
+        assert first == 0.0
         # The conflicting ACT issued after precharge completed, not at the
         # admitted tRRD floor the old model recorded.
-        assert acts[1] == t.tRAS + t.tRP
+        assert conflict == t.tRAS + t.tRP
         # A third ACT in another bank of the same rank is paced from it.
-        other_bank = next(
-            a
-            for a in range(64, 1 << 26, 64)
-            if (lambda c: c.rank == c0.rank and c.bank != c0.bank)(mapper.map(a))
-        )
-        assert mc._admit_activation(c0.rank, 0.0) == acts[1] + t.tRRD
-        mc.read(other_bank, 0.0)
-        assert mc._rank_acts[c0.rank][-1] >= t.tRAS + t.tRP + t.tRRD
+        mc.read(_address(0, 1, 0), 0.0)
+        assert mc._rank_acts[0][-1] == conflict + t.tRRD
+        assert mc._rank_acts[0][-1] >= t.tRAS + t.tRP + t.tRRD

@@ -71,8 +71,8 @@ class TestInclusion:
             assert h.dram_reads >= previous
             previous = h.dram_reads
         # Controller-level reads include every hierarchy-issued one.
-        assert h.controller.stats.reads == h.dram_reads
-        assert h.controller.stats.writes == h.dram_writes
+        assert h.controller.reads == h.dram_reads
+        assert h.controller.writes == h.dram_writes
 
 
 class TestRepeatAccessLocality:

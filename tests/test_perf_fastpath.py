@@ -9,10 +9,12 @@ Five pillars, mirroring ``test_faultsim_fastpath.py``:
   in ``test_switches.py``.
 - **Exact determinism where promised** — the fast engine replays the
   golden corpus's ``result_fast`` records bit-for-bit; the same-line run
-  collapse is an exact rewrite (collapsed == uncollapsed); and
-  ``_FastController`` is bit-identical to the scalar
-  :class:`MemoryController` over the full timing pass (A/B adapter) and
-  over adversarial request streams (hypothesis).
+  collapse is an exact rewrite (the collapsed batched replay equals the
+  uncollapsed scalar one); and the production
+  :class:`~repro.dram.controller.MemoryController` is bit-identical to
+  the object-model controller in ``tests/dram_oracle.py`` over the full
+  timing pass and over adversarial request streams (hypothesis), and
+  its inlined address map equals the oracle's ``AddressMapper``.
 - **Statistical equivalence elsewhere** — fast and reference engines
   draw their traces from different RNG streams, so whole-workload
   results agree statistically (pinned per-cell and multi-seed bounds,
@@ -24,7 +26,7 @@ Five pillars, mirroring ``test_faultsim_fastpath.py``:
   outside :func:`repro.perf.fastpath.supports` fall back to the
   reference engine.
 - **DRAM timing invariants** (hypothesis) — tRRD/tFAW pacing measured
-  from the ACT instants the fast controller actually issued, 48/16
+  from the ACT instants the controller actually issued, 48/16
   watermark drain-episode counting, and full-queue backpressure never
   admitting a request past the queue bound.
 """
@@ -42,11 +44,10 @@ from hypothesis import strategies as st
 
 from repro.cpu.system import SystemResult
 from repro.cpu.workloads import profile
-from repro.dram.controller import MemoryController
+from repro.dram.controller import MemoryController, map_address
 from repro.dram.timing import DDR4_3200
 from repro.perf import fastpath
 from repro.perf.campaign import cell_fingerprint, plan_grid, run_cells
-from repro.perf.fastpath import _FastController
 from repro.perf.model import (
     PerfConfig,
     geomean_slowdown_percent,
@@ -56,6 +57,8 @@ from repro.perf.model import (
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization, safeguard
 from repro.switches import PERF
 from repro.utils.rng import derive_seed
+from tests import dram_oracle
+from tests.perf_oracle import scalar_content_pass, timing_pass
 
 _CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_perf.json")
 
@@ -200,11 +203,12 @@ class TestGoldenFastReplay:
 
 
 class TestControllerBitIdentity:
-    """The inlined fast controller is the scalar one, exactly.
+    """The production controller is the object-model oracle, exactly.
 
-    The timing pass is run twice over the same content — once on
-    ``_FastController``, once on the scalar :class:`MemoryController`
-    behind the A/B adapter — and must produce identical SystemResults.
+    The timing pass is run twice over the same content — once on the
+    production :class:`MemoryController`, once on the oracle controller
+    of ``tests/dram_oracle.py`` behind its adapter — and must produce
+    identical SystemResults.
     """
 
     @pytest.mark.parametrize("workload", ["mcf", "lbm"])
@@ -222,27 +226,39 @@ class TestControllerBitIdentity:
             config.warmup_instructions,
         )
         fast = fastpath._timing_pass(content, prof, organization, config)
-        reference = fastpath._timing_pass(
-            content, prof, organization, config, reference_controller=True
+        reference = timing_pass(
+            content, prof, organization, config,
+            controller=dram_oracle.TimingAdapter(),
         )
         assert fast == reference
 
 
 class TestCollapseEquivalence:
-    """The same-line run collapse is an exact rewrite of the replay."""
+    """The same-line run collapse is an exact rewrite of the replay.
+
+    Production runs the collapsed batched replay; the exact scalar
+    replay walks every op uncollapsed.
+    """
 
     @pytest.mark.parametrize("workload", ["lbm", "mcf"])
     def test_collapsed_matches_uncollapsed(self, workload):
         config = _config("fast")
+        prof = profile(workload)
         fastpath._CONTENT_MEMO.clear()
-        collapsed = run_workload(profile(workload), safeguard(8), config)
-        fastpath._COLLAPSE_RUNS = False
+        collapsed = run_workload(prof, safeguard(8), config)
         fastpath._CONTENT_MEMO.clear()
-        try:
-            exact = run_workload(profile(workload), safeguard(8), config)
-        finally:
-            fastpath._COLLAPSE_RUNS = True
-            fastpath._CONTENT_MEMO.clear()
+        exact = timing_pass(
+            scalar_content_pass(
+                prof,
+                config.n_cores,
+                config.seed,
+                config.instructions_per_core,
+                config.warmup_instructions,
+            ),
+            prof,
+            safeguard(8),
+            config,
+        )
         assert collapsed == exact
 
 
@@ -460,9 +476,9 @@ class TestDRAMTimingProperties:
     @given(ops=_OPS)
     @settings(max_examples=60, deadline=None)
     def test_fast_controller_bit_identical_to_reference(self, ops):
-        """Every response and every stat matches the scalar controller."""
-        fast = _FastController()
-        reference = MemoryController()
+        """Every response and every counter matches the oracle controller."""
+        fast = MemoryController()
+        reference = dram_oracle.MemoryController()
         now = 0.0
         for is_write, address_index, gap_index in ops:
             now += _GAPS[gap_index]
@@ -484,6 +500,16 @@ class TestDRAMTimingProperties:
         assert fast.refreshes == stats.refreshes
         assert fast.total_read_latency == stats.total_read_latency
 
+    @given(address=st.integers(0, (1 << 48) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_address_map_matches_oracle_mapper(self, address):
+        """The inlined map packs the oracle AddressMapper's coordinates."""
+        coords = dram_oracle.AddressMapper().map(address)
+        packed = map_address(address)
+        assert packed & 1 == coords.rank
+        assert (packed >> 1) & 31 == (coords.rank << 4) | coords.bank
+        assert packed >> 6 == coords.row
+
     @given(ops=_OPS)
     @settings(max_examples=60, deadline=None)
     def test_act_pacing_measured_from_actual_instants(self, ops):
@@ -495,7 +521,7 @@ class TestDRAMTimingProperties:
         bounds must hold — a gap can only be wider than observed, never
         narrower.
         """
-        fast = _FastController()
+        fast = MemoryController()
         seen = {}
         now = 0.0
         for is_write, address_index, gap_index in ops:
@@ -519,8 +545,8 @@ class TestDRAMTimingProperties:
     @settings(max_examples=60, deadline=None)
     def test_watermark_drain_episode_counting(self, bursts):
         """Drain episodes start only at the 48-entry high watermark."""
-        fast = _FastController()
-        reference = MemoryController()
+        fast = MemoryController()
+        reference = dram_oracle.MemoryController()
         now = 0.0
         peak = 0
         for address_index, gap_index in bursts:
@@ -544,8 +570,8 @@ class TestDRAMTimingProperties:
     @settings(max_examples=60, deadline=None)
     def test_full_queue_backpressure(self, bursts):
         """A full write queue stalls the issuer; occupancy never exceeds it."""
-        fast = _FastController()
-        reference = MemoryController()
+        fast = MemoryController()
+        reference = dram_oracle.MemoryController()
         now = 0.0
         for address_index, gap_index in bursts:
             now += _GAPS[gap_index]

@@ -11,11 +11,14 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import summarize_index
 from repro.dram.timing import max_activations_per_refresh_window
 from repro.rowhammer import playbook as pb
 from repro.rowhammer.attacks import (
+    EDGE_POLICIES,
     AttackPattern,
     SchedulePhase,
     compile_schedule,
@@ -301,6 +304,94 @@ class TestFormat:
                 {"name": "x", "victims": [0], "phases": [{"rows": [1]}],
                  "sweep": {"min_fill": []}}
             )
+
+
+#: Small integers reach the compiler; huge ones probe the bounds.
+_INT = st.integers(-300, 300) | st.integers(-(2**70), 2**70)
+_KEYS = st.sampled_from(
+    list(pb.PlaybookSpec._FIELDS)
+    + ["rows", "reads", "restart", "offset", "row", "weight", "x"]
+)
+
+
+def _containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(
+        _KEYS, children, max_size=5
+    )
+
+
+#: Arbitrary JSON values.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | _INT
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    _containers,
+    max_leaves=20,
+)
+_ROW = _INT | _JSON | st.fixed_dictionaries(
+    {}, optional={"offset": _INT | _JSON, "row": _INT | _JSON, "weight": _INT | _JSON}
+)
+_PHASE = _JSON | st.fixed_dictionaries(
+    {},
+    optional={
+        "rows": st.lists(_ROW, max_size=4) | _JSON,
+        "reads": _INT | _JSON,
+        "restart": _JSON,
+    },
+)
+#: Near-valid playbook documents with any field possibly malformed.
+_DOCUMENT = st.fixed_dictionaries(
+    {"name": st.text(min_size=1, max_size=4) | _JSON},
+    optional={
+        "summary": st.text(max_size=4) | _JSON,
+        "base_row": _INT | _JSON,
+        "n_rows": _INT | _JSON,
+        "edge_policy": st.sampled_from(EDGE_POLICIES) | _JSON,
+        "min_fill": _INT | _JSON,
+        "data_inversion": _JSON,
+        "victims": st.lists(_ROW, max_size=3) | _JSON,
+        "phases": st.lists(_PHASE, max_size=3) | _JSON,
+        "sweep": _JSON,
+    },
+)
+
+
+class TestMalformedPlaybooks:
+    """Any document either compiles or fails with ``ValueError``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=_DOCUMENT | _JSON)
+    def test_only_value_error_escapes(self, payload):
+        try:
+            spec = pb.PlaybookSpec.from_dict(payload)
+            pb.compile_playbook(spec, base_row=64, n_rows=128)
+        except ValueError:
+            pass
+
+    def test_null_rows_list_offset_and_huge_weight(self):
+        """These used to raise ``TypeError`` (the list offset only at
+        compile) and ``OverflowError`` (at compile)."""
+        with pytest.raises(ValueError, match="rows must be a list"):
+            pb.PlaybookSpec.from_dict({"phases": [{"rows": None}]})
+        with pytest.raises(ValueError, match="offset must be an integer"):
+            pb.PlaybookSpec.from_dict(
+                {"name": "x", "victims": [{"offset": []}], "phases": [{"rows": [1]}]}
+            )
+        with pytest.raises(ValueError, match="row weight must be in"):
+            pb.PlaybookSpec.from_dict(
+                {"name": "x", "victims": [0],
+                 "phases": [{"rows": [{"offset": 1, "weight": 2**63}]}]}
+            )
+
+    def test_cli_reports_malformed_file(self, capsys, tmp_path):
+        from repro.__main__ import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "phases": [{"rows": None}]}))
+        assert main(["playbook", "run", "--file", str(path)]) == 2
+        assert "rows must be a list" in capsys.readouterr().err
 
 
 class TestCompilePlaybook:

@@ -23,20 +23,20 @@ def _occupancy(mc: MemoryController) -> int:
 class TestWriteQueueFill:
     def test_posted_writes_park_without_cost(self):
         """Below the high watermark, writes book no bank/bus time."""
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         for i in range(MemoryController.WRITE_DRAIN_HIGH - 1):
             accepted = mc.write(i * (1 << 14), 0.0)
             assert accepted == 0.0
-        assert mc.stats.writes == MemoryController.WRITE_DRAIN_HIGH - 1
-        assert mc.stats.write_drains == 0
+        assert mc.writes == MemoryController.WRITE_DRAIN_HIGH - 1
+        assert mc.write_drains == 0
         assert mc._bus_free_at == 0.0  # nothing issued
-        assert mc.stats.row_hits + mc.stats.row_misses + mc.stats.row_conflicts == 0
+        assert mc.row_hits + mc.row_misses + mc.row_conflicts == 0
         # A read right now sees an idle bus and idle banks.
-        clean = MemoryController(enable_refresh=False).read(1 << 26, 0.0)
-        assert mc.read(1 << 26, 0.0).data_ready_time == clean.data_ready_time
+        clean = MemoryController().read(1 << 26, 0.0)
+        assert mc.read(1 << 26, 0.0) == clean
 
     def test_occupancy_tracks_queue_plus_inflight(self):
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         for i in range(10):
             mc.write(i * (1 << 14), 0.0)
         assert _occupancy(mc) == 10
@@ -44,53 +44,53 @@ class TestWriteQueueFill:
 
 class TestWatermarkDrain:
     def test_high_watermark_starts_drain(self):
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         for i in range(MemoryController.WRITE_DRAIN_HIGH):
             mc.write(i * (1 << 14), 0.0)
-        assert mc.stats.write_drains == 1
+        assert mc.write_drains == 1
         # Every parked write issued: bank/bus costs booked, row stats move.
         assert len(mc._write_queue) == 0
         assert len(mc._write_inflight) == MemoryController.WRITE_DRAIN_HIGH
-        booked = mc.stats.row_hits + mc.stats.row_misses + mc.stats.row_conflicts
+        booked = mc.row_hits + mc.row_misses + mc.row_conflicts
         assert booked == MemoryController.WRITE_DRAIN_HIGH
         assert mc._bus_free_at >= MemoryController.WRITE_DRAIN_HIGH * DDR4_3200.tBL
 
     def test_drained_writes_delay_subsequent_reads(self):
-        busy = MemoryController(enable_refresh=False)
-        idle = MemoryController(enable_refresh=False)
+        busy = MemoryController()
+        idle = MemoryController()
         for i in range(MemoryController.WRITE_DRAIN_HIGH):
             busy.write(i * (1 << 14), 0.0)
         delayed = busy.read(1 << 26, 0.0)
         clean = idle.read(1 << 26, 0.0)
-        assert delayed.data_ready_time > clean.data_ready_time
+        assert delayed > clean
 
     def test_episode_persists_until_low_watermark(self):
         """While draining, newly arriving writes issue immediately; the
         episode (one ``write_drains`` increment) ends only after
         occupancy decays to the low watermark."""
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         high = MemoryController.WRITE_DRAIN_HIGH
         for i in range(high + 5):
             mc.write(i * (1 << 14), 0.0)
         # Still one episode: the extra writes joined the ongoing drain.
-        assert mc.stats.write_drains == 1
+        assert mc.write_drains == 1
         assert len(mc._write_queue) == 0  # all issued immediately
 
     def test_new_episode_after_decay_below_low(self):
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         high = MemoryController.WRITE_DRAIN_HIGH
         for i in range(high):
             mc.write(i * (1 << 14), 0.0)
-        assert mc.stats.write_drains == 1
+        assert mc.write_drains == 1
         # Far in the future every burst has completed: occupancy is 0,
         # below the low watermark, so the episode has ended.
         later = mc._bus_free_at + 1.0
         for i in range(high):
             mc.write((1 << 20) + i * (1 << 14), later)
-        assert mc.stats.write_drains == 2
+        assert mc.write_drains == 2
 
     def test_low_watermark_ends_episode_lazily(self):
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         high = MemoryController.WRITE_DRAIN_HIGH
         low = MemoryController.WRITE_DRAIN_LOW
         for i in range(high):
@@ -109,7 +109,7 @@ class TestBackpressure:
     def test_full_queue_stalls_the_issuer(self):
         """More writes than queue entries at one instant: acceptance is
         pushed past the completion that frees an entry."""
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         entries = MemoryController.WRITE_QUEUE_ENTRIES
         accepts = [mc.write(i * (1 << 14), 0.0) for i in range(entries + 8)]
         assert accepts[0] == 0.0
@@ -118,7 +118,7 @@ class TestBackpressure:
         assert all(b >= a for a, b in zip(accepts, accepts[1:]))
 
     def test_accept_time_is_at_least_now(self):
-        mc = MemoryController(enable_refresh=False)
+        mc = MemoryController()
         assert mc.write(0, 123.0) >= 123.0
 
     def test_constants_are_consistent(self):
@@ -145,8 +145,8 @@ class TestHierarchyIntegration:
         system = System(profile("lbm"), BASELINE_ECC, n_cores=2, seed=3)
         system.run(40_000, warmup_instructions=5_000)
         mc = system.hierarchy.controller
-        assert mc.stats.writes > 0
-        assert mc.stats.write_drains > 0
+        assert mc.writes > 0
+        assert mc.write_drains > 0
 
 
 class TestInclusionViolation:
